@@ -18,8 +18,9 @@ Budget semantics: each entry point accepts an overall ``time_limit``
 (float seconds or a shared :class:`repro.budget.Deadline`) that governs
 the *whole* attack from one monotonic clock; ``qbf_time_limit`` is the
 paper's per-stage cap on the QBF step (Section III-A caps DepQBF at one
-minute) and is applied as a sub-deadline of the overall budget, so the
-QBF stage can never spend more than either bound.
+minute) and is applied as a sub-deadline of the overall budget, taken
+when removal finishes, so the QBF stage can never spend more than either
+bound and removal never eats into the QBF cap.
 """
 
 from __future__ import annotations
@@ -37,9 +38,13 @@ from .structural import candidate_pattern_sets
 __all__ = ["kratt_ol_attack", "kratt_og_attack"]
 
 
-def _removal_and_qbf(circuit, key_inputs, qbf_deadline):
+def _removal_and_qbf(circuit, key_inputs, deadline, qbf_time_limit):
     extraction = extract_unit(circuit, key_inputs)
-    outcome = qbf_key_search(extraction, time_limit=qbf_deadline)
+    # The stage cap starts once removal is done: removal time is charged
+    # to the overall budget only.
+    outcome = qbf_key_search(
+        extraction, time_limit=deadline.sub(qbf_time_limit)
+    )
     return extraction, outcome
 
 
@@ -93,7 +98,7 @@ def kratt_ol_attack(
 
     try:
         extraction, outcome = _removal_and_qbf(
-            circuit, key_inputs, deadline.sub(qbf_time_limit)
+            circuit, key_inputs, deadline, qbf_time_limit
         )
     except ValueError as exc:
         return AttackResult(
@@ -194,7 +199,7 @@ def kratt_og_attack(
 
     try:
         extraction, outcome = _removal_and_qbf(
-            circuit, key_inputs, deadline.sub(qbf_time_limit)
+            circuit, key_inputs, deadline, qbf_time_limit
         )
     except ValueError as exc:
         return AttackResult(

@@ -48,6 +48,9 @@ class QbfAttackOutcome:
     so "no key" is a timeout verdict, not a proof (the paper proceeds to
     structural analysis in both cases; downstream reporting should not
     read it as proven non-constant).
+    ``strategy`` maps each polarity (0 or 1) that a lifted counterexample
+    refuted to its refuting strategy (see :class:`repro.qbf.QBFResult`),
+    a certificate that no key makes the unit that constant.
     """
 
     status: str
@@ -57,6 +60,7 @@ class QbfAttackOutcome:
     elapsed: float = 0.0
     complementary: bool = None
     out_of_time: bool = False
+    strategy: dict = None
 
 
 def qbf_key_search(extraction, time_limit=10.0, max_iterations=50_000):
@@ -70,26 +74,34 @@ def qbf_key_search(extraction, time_limit=10.0, max_iterations=50_000):
     :class:`repro.budget.Deadline`) bounds *both* polarities together —
     a deadline spent by the first solve makes the second return
     immediately instead of receiving a fresh grace slice.
+
+    Each PPI's first associated key is the solver's strategy hint, so a
+    restore unit is refuted by one lifted counterexample per polarity.
     """
     deadline = Deadline.of(time_limit)
     unit = extraction.unit
     cs1 = extraction.critical_signal
     keys = list(extraction.key_inputs)
     ppis = list(extraction.protected_inputs)
+    hint = {ppi: ks[0] for ppi, ks in extraction.key_of_ppi.items() if ks}
 
     elapsed = 0.0
     iterations = 0
     out_of_time = False
+    strategy = {}
     for value in (0, 1):
         result = solve_exists_forall_circuit(
             unit, keys, ppis, cs1, value,
             max_iterations=max_iterations,
             time_limit=deadline,
+            strategy_hint=hint,
         )
         elapsed += result.elapsed
         iterations += result.iterations
         if result.status is None:
             out_of_time = True
+        if result.strategy is not None:
+            strategy[value] = result.strategy
         if result.status is not True:
             continue
 
@@ -104,6 +116,7 @@ def qbf_key_search(extraction, time_limit=10.0, max_iterations=50_000):
                     iterations=iterations,
                     elapsed=elapsed,
                     complementary=False,
+                    strategy=strategy or None,
                 )
         return QbfAttackOutcome(
             status="key",
@@ -112,10 +125,11 @@ def qbf_key_search(extraction, time_limit=10.0, max_iterations=50_000):
             iterations=iterations,
             elapsed=elapsed,
             complementary=complementary,
+            strategy=strategy or None,
         )
     return QbfAttackOutcome(
         status="unsat", iterations=iterations, elapsed=elapsed,
-        out_of_time=out_of_time,
+        out_of_time=out_of_time, strategy=strategy or None,
     )
 
 

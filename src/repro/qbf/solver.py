@@ -13,6 +13,24 @@ point-function locking units the loop converges in a handful of
 iterations, matching the paper's observation that the QBF step finishes in
 under a minute (here: milliseconds).
 
+Refutations are the slow direction: for a DFLT restore unit (TTLock, CAC,
+SFLL-HD) plain CEGAR rules out one wrong key per counterexample.  When
+the caller supplies a ``strategy_hint`` (universal input -> existential
+input, KRATT's PPI -> key association), the first counterexample the
+verifier finds -- a pair (K*, PPI*) with the output off target, from the
+dominator probe or the first CEGAR round -- is *lifted* to a universal
+strategy ``PPI_p := K_hint(p) xor m_p`` with ``m_p = PPI*_p xor
+K*_hint(p)`` (unhinted PPIs keep PPI*_p).
+One SAT call over a single unit copy then checks whether that strategy
+defeats every key.  If it does, the formula is refuted and the strategy
+is returned as the certificate; otherwise CEGAR continues unchanged.  The
+lift can only prove refutations, never invent one.  It applies whenever
+the unit's output depends on PPI and key only through the hinted pairs'
+differences (point functions and Hamming-distance restore units); with
+two keys per PPI in an inconsistent column order (SFLL-Flex) the lifted
+strategy fails and plain CEGAR decides the formula, or runs out of
+budget, as before.
+
 A generic prenex 2QBF entry point (:func:`solve_2qbf`) using universal
 expansion over the CNF matrix is included for QDIMACS-level formulas and
 for property tests against brute force.
@@ -73,13 +91,19 @@ class QBFResult:
         Number of CEGAR refinement rounds.
     elapsed:
         Wall-clock seconds.
+    strategy:
+        When a lifted counterexample refuted the formula: the refuting
+        universal strategy, mapping each universal input to either
+        ``(existential_input, flip)`` (play that input, inverted when
+        ``flip``) or a constant bool.  ``None`` otherwise.
     """
 
-    def __init__(self, status, witness, iterations, elapsed):
+    def __init__(self, status, witness, iterations, elapsed, strategy=None):
         self.status = status
         self.witness = witness
         self.iterations = iterations
         self.elapsed = elapsed
+        self.strategy = strategy
 
     def __bool__(self):
         return self.status is True
@@ -107,6 +131,32 @@ def _subgraph(circuit, gate_names, input_names):
     return sub
 
 
+def _lift_counterexample(circuit, exist_inputs, forall_inputs, output,
+                         target_value, strategy_hint, point, deadline):
+    """Lift a counterexample to a universal strategy.
+
+    ``point`` assigns every input such that ``output != target_value``.
+    Returns the strategy when one SAT call proves that it keeps
+    ``output`` away from ``target_value`` for every existential
+    assignment, else ``None`` (strategy beaten, or budget spent).
+    """
+    solver = Solver()
+    key_vars = {name: solver.new_var() for name in exist_inputs}
+    shared = dict(key_vars)
+    strategy, fix = {}, {}
+    for name in forall_inputs:
+        key = strategy_hint.get(name)
+        if key in key_vars:
+            flip = point[name] != point[key]
+            strategy[name] = (key, flip)
+            shared[name] = -key_vars[key] if flip else key_vars[key]
+        else:
+            strategy[name] = fix[name] = point[name]
+    lit = encode_into_solver(solver, circuit, shared, fix=fix)[output]
+    solver.add_clause([lit if target_value else -lit])
+    return strategy if solver.solve(time_limit=deadline) is False else None
+
+
 def solve_exists_forall_circuit(
     circuit,
     exist_inputs,
@@ -115,6 +165,7 @@ def solve_exists_forall_circuit(
     target_value,
     max_iterations=10_000,
     time_limit=None,
+    strategy_hint=None,
 ):
     """Decide ``EXISTS exist . FORALL forall . circuit[output] == target``.
 
@@ -127,6 +178,11 @@ def solve_exists_forall_circuit(
         Name of the output signal constrained to ``target_value``.
     target_value:
         0 or 1.
+    strategy_hint:
+        Optional map from universal to existential input.  When given,
+        the first counterexample is lifted to a universal strategy (see
+        the module docstring); a refutation found this way carries the
+        strategy in :attr:`QBFResult.strategy`.
 
     Returns a :class:`QBFResult`; on success ``witness`` maps each
     existential input to its value.
@@ -202,6 +258,23 @@ def solve_exists_forall_circuit(
         ]
         return verifier.solve(assumptions, time_limit=deadline)
 
+    lift_pending = strategy_hint is not None
+
+    def lift_refutation():
+        # Lift the verifier's current model, the first counterexample.
+        nonlocal lift_pending
+        lift_pending = False
+        vmodel = verifier.model()
+        point = {name: vmodel.get(var, False) for name, var in all_vars.items()}
+        strategy = _lift_counterexample(
+            circuit, exist_inputs, forall_inputs, output, target_value,
+            strategy_hint, point, deadline,
+        )
+        if strategy is None:
+            return None
+        return QBFResult(False, None, iterations, deadline.now() - start,
+                         strategy=strategy)
+
     # --- Dominator-constant probe -------------------------------------
     # If some key-only internal signal r pinned to a constant provably
     # forces the output to the target for every universal assignment
@@ -239,6 +312,10 @@ def solve_exists_forall_circuit(
                 max_conflicts=20_000,
                 time_limit=deadline,
             )
+            if status is True and lift_pending:
+                refuted = lift_refutation()
+                if refuted is not None:
+                    return refuted
             if status is not False:
                 continue
             # r == value forces the output to target; find a key doing it.
@@ -283,6 +360,10 @@ def solve_exists_forall_circuit(
             # No universal counterexample: key_guess is a true witness.
             return QBFResult(True, key_guess, iterations, deadline.now() - start)
 
+        if lift_pending:
+            refuted = lift_refutation()
+            if refuted is not None:
+                return refuted
         vmodel = verifier.model()
         cex = {name: vmodel.get(all_vars[name], False) for name in forall_inputs}
 

@@ -11,7 +11,7 @@ import pytest
 
 from factories import build_random_circuit
 from repro.attacks import Oracle, ddip_attack, sat_attack, scope_attack
-from repro.attacks.kratt import kratt_ol_attack
+from repro.attacks.kratt import extract_unit, kratt_ol_attack, qbf_key_search
 from repro.budget import Deadline
 from repro.locking import lock_sarlock, lock_ttlock, lock_xor
 from repro.netlist import Circuit
@@ -210,3 +210,29 @@ class TestAttackBudgets:
         )
         assert result.timed_out is True
         assert result.time_limit == 0.0
+
+    def test_qbf_cap_starts_after_removal(self, host, monkeypatch):
+        """A slow removal is charged to the overall budget, not to the QBF
+        stage cap: the QBF step still receives its full cap."""
+        from repro.attacks.kratt import flow
+
+        clock = FakeClock()
+        seen = []
+
+        def slow_removal(*args, **kwargs):
+            clock.advance(0.6)
+            return extract_unit(*args, **kwargs)
+
+        def spy_qbf(extraction, time_limit):
+            seen.append(time_limit.remaining())
+            return qbf_key_search(extraction, time_limit=time_limit)
+
+        monkeypatch.setattr(flow, "extract_unit", slow_removal)
+        monkeypatch.setattr(flow, "qbf_key_search", spy_qbf)
+        locked = lock_sarlock(host, 8, seed=2)
+        result = kratt_ol_attack(
+            locked.circuit, locked.key_inputs, qbf_time_limit=1.0,
+            time_limit=Deadline.from_limit(100.0, clock=clock),
+        )
+        assert seen == [pytest.approx(1.0)]
+        assert result.details["method"] == "qbf"

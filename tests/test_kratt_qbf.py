@@ -11,6 +11,7 @@ from repro.locking import (
     lock_cac,
     lock_genantisat,
     lock_sarlock,
+    lock_sfll_hd,
     lock_ttlock,
 )
 from repro.synth import resynthesize
@@ -73,10 +74,34 @@ class TestGenAntiSat:
         assert tied_unit_is_constant(ext_n) is False
 
 
+def _lock_dflt(name, host, key_width):
+    if name == "sfll_hd":
+        return lock_sfll_hd(host, key_width, h=2, seed=3)
+    return {"ttlock": lock_ttlock, "cac": lock_cac}[name](host, key_width, seed=3)
+
+
+@pytest.fixture(scope="module")
+def wide_host():
+    return build_random_circuit(n_inputs=40, n_gates=200, n_outputs=5, seed=51)
+
+
 class TestDfltUnsat:
-    @pytest.mark.parametrize("lock", [lock_ttlock, lock_cac], ids=["ttlock", "cac"])
+    """Restore units are refuted by proof (one lifted counterexample per
+    polarity), not by running out the budget."""
+
+    @pytest.mark.parametrize("lock", ["ttlock", "cac", "sfll_hd"])
     def test_restore_units_unsat(self, host, lock):
-        locked = lock(host, 8, seed=3)
+        self._assert_refuted(_lock_dflt(lock, host, 8))
+
+    @pytest.mark.parametrize("lock", ["ttlock", "cac", "sfll_hd"])
+    def test_restore_units_unsat_at_32_bits(self, wide_host, lock):
+        self._assert_refuted(_lock_dflt(lock, wide_host, 32))
+
+    @staticmethod
+    def _assert_refuted(locked):
         extraction = extract_unit(locked.circuit, locked.key_inputs)
         outcome = qbf_key_search(extraction, time_limit=3)
         assert outcome.status == "unsat"
+        assert outcome.out_of_time is False
+        assert outcome.iterations <= 2
+        assert set(outcome.strategy) == {0, 1}

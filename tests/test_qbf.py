@@ -127,6 +127,47 @@ class TestCircuitCegar:
         assert solve_exists_forall_circuit(c, ["k"], ["x"], "o", 0).status is False
         assert solve_exists_forall_circuit(c, ["k"], ["x"], "o", 1).status is False
 
+    def test_lifted_counterexample_refutes_in_one_round(self):
+        c = Circuit("q")
+        c.add_input("k")
+        c.add_input("x")
+        c.add_gate("o", "XNOR", ("k", "x"))
+        c.add_output("o")
+        for target in (0, 1):
+            res = solve_exists_forall_circuit(
+                c, ["k"], ["x"], "o", target, strategy_hint={"x": "k"}
+            )
+            assert res.status is False and res.iterations == 1
+            # x := k forces o = 1; x := NOT k forces o = 0.
+            assert res.strategy == {"x": ("k", bool(target))}
+
+    def test_lift_never_refutes_a_true_formula(self):
+        c = Circuit("q")
+        c.add_input("k")
+        c.add_input("x")
+        c.add_gate("o", "OR", ("k", "x"))
+        c.add_output("o")
+        res = solve_exists_forall_circuit(
+            c, ["k"], ["x"], "o", 1, strategy_hint={"x": "k"}
+        )
+        assert res.status is True and res.strategy is None
+
+    def test_mismatched_hint_falls_back_to_cegar(self):
+        # (x1 == k1) AND (x2 == k2), hinted crosswise: the lifted strategy
+        # is beaten, so plain CEGAR must still refute constant 0.
+        c = Circuit("q")
+        for n in ("k1", "k2", "x1", "x2"):
+            c.add_input(n)
+        c.add_gate("e1", "XNOR", ("k1", "x1"))
+        c.add_gate("e2", "XNOR", ("k2", "x2"))
+        c.add_gate("o", "AND", ("e1", "e2"))
+        c.add_output("o")
+        res = solve_exists_forall_circuit(
+            c, ["k1", "k2"], ["x1", "x2"], "o", 0,
+            strategy_hint={"x1": "k2", "x2": "k1"},
+        )
+        assert res.status is False and res.strategy is None
+
     def test_two_keys(self):
         # o = (k1 XOR k2) OR x : constant 1 iff k1 != k2
         c = Circuit("q")

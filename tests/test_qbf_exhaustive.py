@@ -12,7 +12,9 @@ the ground truth the QBF step must agree with:
   witness contained in the enumerated set;
 * for complementary SFLTs the certified witness must also unlock the
   whole circuit: folding it in must reproduce the original function on
-  an exhaustive input sweep.
+  an exhaustive input sweep;
+* a refuting strategy the solver returns for a restore unit must defeat
+  every key when replayed by simulation.
 """
 
 import itertools
@@ -25,13 +27,16 @@ from repro.attacks.kratt.removal import extract_unit
 from repro.netlist.simulate import exhaustive_patterns
 
 #: (technique, expected family): SFLTs have constant-making keys, DFLT
-#: restore units (point functions: TTLock, CAC) have none.
+#: restore units (TTLock, CAC, SFLL-HD, SFLL-Flex) have none.  SFLL-Flex
+#: exercises the path where the lifted strategy fails and CEGAR decides.
 CASES = [
     ("antisat", "sflt"),
     ("caslock", "sflt"),
     ("sarlock", "sflt"),
     ("ttlock", "dflt"),
     ("cac", "dflt"),
+    ("sfll_hd", "dflt"),
+    ("sfll_flex", "dflt"),
 ]
 
 
@@ -129,3 +134,32 @@ def test_qbf_matches_exhaustive_on_wider_key_spaces(key_width):
     assert _key_in(
         {k: outcome.key[k] for k in extraction.key_inputs}, expected
     )
+
+
+@pytest.mark.parametrize("technique", ["ttlock", "cac", "sfll_hd"])
+@pytest.mark.parametrize("seed", range(2))
+def test_refuting_strategy_defeats_every_key(technique, seed):
+    """Replay each polarity's strategy PPI := K[key] ^ flip (or a
+    constant) over all 2**k keys at once: the unit never hits c."""
+    locked = build_locked_circuit(technique, seed=seed, n_inputs=8,
+                                  n_gates=30, key_width=8)
+    extraction = extract_unit(locked.circuit, locked.key_inputs)
+    assert len(extraction.key_inputs) <= 8
+    outcome = qbf_key_search(extraction, time_limit=60.0)
+    assert outcome.status == "unsat" and outcome.out_of_time is False
+    assert set(outcome.strategy) == {0, 1}
+
+    words, mask = exhaustive_patterns(list(extraction.key_inputs))
+    engine = extraction.unit.compiled()
+    out_pos = engine.output_names.index(extraction.critical_signal)
+    for value, strategy in outcome.strategy.items():
+        assert set(strategy) == set(extraction.protected_inputs)
+        assignment = dict(words)
+        for ppi, move in strategy.items():
+            if isinstance(move, tuple):
+                key, flip = move
+                assignment[ppi] = words[key] ^ (mask if flip else 0)
+            else:
+                assignment[ppi] = mask if move else 0
+        word = engine.output_words(assignment, mask)[out_pos]
+        assert word == (0 if value else mask), (value, strategy)
