@@ -25,8 +25,9 @@ def emit(results_dir, name, text):
 def campaign_spec(name, artifacts, **options):
     """Build a bench-scoped CampaignSpec rooted under benchmarks/results.
 
-    ``REPRO_BENCH_WORKERS`` selects the pool size (default 0 = in-process,
-    which keeps pytest-benchmark timings comparable to the serial path).
+    ``REPRO_BENCH_WORKERS`` > 1 drains the cells on that many queue
+    workers; the default 0 runs them in-process, which keeps
+    pytest-benchmark timings comparable to the serial path.
     """
     import os
 

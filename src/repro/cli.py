@@ -12,10 +12,11 @@ script driven on ``.bench`` files):
 * ``gen``      — emit one of the registered benchmark stand-ins;
 * ``circuits`` — list / show / verify the circuit-source registry
   (generated stand-ins and the checked-in ``.bench`` corpus);
-* ``campaign`` — run/resume/inspect parallel attack campaigns over the
-  paper's (circuit x technique x attack) grid (``--backend=queue``
-  drains a durable work queue with lease recovery, retry/backoff and
-  poison-cell quarantine; ``retry`` requeues unhealthy cells);
+* ``campaign`` — run/resume/inspect attack campaigns over the paper's
+  (circuit x technique x attack) grid (``--workers > 1``,
+  ``--cell-timeout`` or ``--backend=queue`` drain a durable work queue
+  with lease recovery, retry/backoff and poison-cell quarantine;
+  ``retry`` requeues unhealthy cells);
 * ``worker`` — drain a campaign's durable work queue from this process
   (run any number, on any host sharing the campaign directory);
 * ``prepstore`` — inspect or wipe the shared cross-campaign preparation
@@ -295,6 +296,8 @@ def _campaign_cli(func):
 
 @_campaign_cli
 def _cmd_campaign_run(args):
+    import os
+
     from .experiments.campaign import run_campaign, write_reports
 
     spec = _campaign_spec_from_args(args)
@@ -308,6 +311,10 @@ def _cmd_campaign_run(args):
     print(result.summary())
     for cell_id, error in result.errors:
         print(f"cell {cell_id} failed:\n{error}", file=sys.stderr)
+    for cell_id in result.poisoned:
+        with open(os.path.join(spec.cells_dir, f"{cell_id}.json")) as handle:
+            error = json.load(handle)["error"]
+        print(f"cell {cell_id} poisoned:\n{error}", file=sys.stderr)
     if result.complete:
         for path in write_reports(spec, result.tables):
             print(f"wrote {path}")
@@ -316,7 +323,7 @@ def _cmd_campaign_run(args):
             f"campaign incomplete ({result.total - result.ran - result.skipped}"
             " cells pending); rerun `repro campaign run` to finish"
         )
-    return 1 if result.errors else 0
+    return 1 if result.errors or result.poisoned else 0
 
 
 def _print_prep_stats(status):
@@ -699,11 +706,13 @@ def build_parser():
     c.add_argument("--og-limit", type=float,
                    help="overall KRATT-OG attack budget per cell (s)")
     c.add_argument("--workers", type=int,
-                   help="worker processes (<=1 runs in-process)")
+                   help="queue worker processes (<=1 runs in-process "
+                        "unless --cell-timeout or --backend queue)")
     c.add_argument("--backend", choices=["pool", "queue"], default=None,
-                   help="execution backend: pool (in-process/multiprocessing)"
-                        " or queue (durable work queue with lease recovery, "
-                        "retry/backoff and poison-cell quarantine)")
+                   help="pool (default): in-process serial unless "
+                        "--workers > 1 or --cell-timeout; queue: always "
+                        "drain the durable work queue (lease recovery, "
+                        "retry/backoff, poison-cell quarantine)")
     c.add_argument("--lease-ttl", type=float,
                    help="queue backend: seconds a claimed cell's lease "
                         "stays valid without a heartbeat")
@@ -714,9 +723,9 @@ def build_parser():
                    help="queue backend: first retry delay (s); doubles per "
                         "attempt with deterministic jitter")
     c.add_argument("--cell-timeout", type=float,
-                   help="HARD per-cell wall-clock limit (s): cells run in "
-                        "killable processes and overruns are terminated and "
-                        "recorded as status=timeout")
+                   help="HARD per-cell wall-clock limit (s): queue workers "
+                        "run cells in killable processes and overruns are "
+                        "terminated and recorded as status=timeout")
     c.add_argument("--limit", type=int,
                    help="run at most N pending cells, then stop")
     c.add_argument("--fresh", action="store_true",

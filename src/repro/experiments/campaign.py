@@ -1,4 +1,4 @@
-"""Parallel attack-campaign orchestrator.
+"""Attack-campaign orchestrator.
 
 A *campaign* regenerates one or more paper artifacts (Tables I-V,
 Fig. 6, the Valkyrie-style census) from a declarative
@@ -7,18 +7,20 @@ Fig. 6, the Valkyrie-style census) from a declarative
 definitions in :mod:`repro.experiments.tables` decompose into — and the
 orchestrator:
 
-* shards the pending cells across a ``multiprocessing`` worker pool
-  (``workers <= 1`` runs them in-process, which is what the unit-timed
-  benchmark scripts use);
+* runs the pending cells one of two ways: serially in this process
+  (``workers <= 1``, no ``cell_timeout``, ``backend != "queue"`` — what
+  the unit-timed benchmark scripts and most tests use), or through the
+  durable work queue drained by a local fleet of ``workers`` processes
+  (:mod:`repro.experiments.worker`) for everything else;
 * persists every finished cell as one JSON record under
   ``<results_root>/<name>/cells/``, so an interrupted or killed campaign
   resumes by running only the missing cells;
 * aggregates the completed grid back into the paper-style tables through
   the same ``aggregate`` functions the serial row builders use — the
   parallel path is bit-identical to the serial one by construction;
-* enforces ``cell_timeout`` as a **hard** limit: with a timeout set,
-  every cell runs in its own killable worker process, a cell exceeding
-  the budget is terminated (SIGTERM, then SIGKILL) and persisted as a
+* enforces ``cell_timeout`` as a **hard** limit: queue workers run each
+  cell in its own killable child process, a cell exceeding the budget is
+  terminated (SIGTERM, then SIGKILL) and persisted as a
   ``status="timeout"`` record, and resume treats that record as
   completed-with-timeout instead of retrying the pathological cell
   forever.  Timed-out cells are excluded from aggregation, so the
@@ -28,17 +30,13 @@ The on-disk layout of a campaign ``<name>``::
 
     <results_root>/<name>/spec.json        # the expanded, resolved spec
     <results_root>/<name>/cells/<id>.json  # one record per finished cell
+    <results_root>/<name>/queue.sqlite     # work queue (derived state)
     <results_root>/<name>/<artifact>.txt   # rendered tables (report step)
-
-This module is the seam future scaling work (async backends, distributed
-sharding, remote result stores) plugs into: backends only need to map
-``run one cell payload -> cell record``.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import re
 import signal
@@ -77,9 +75,9 @@ __all__ = [
     "DEFAULT_RESULTS_ROOT",
 ]
 
-#: Execution backends ``run_campaign`` dispatches on.  "pool" is the
-#: in-process/multiprocessing path; "queue" drains a durable work queue
-#: with lease recovery, retry/backoff and poison-cell quarantine.
+#: Accepted ``CampaignSpec.backend`` values.  "queue" always drains the
+#: durable work queue; "pool" (the default, kept so stored specs load)
+#: means "serial unless ``workers > 1`` or ``cell_timeout``".
 BACKENDS = ("pool", "queue")
 
 #: Default landing zone for campaign results, next to the bench outputs.
@@ -94,8 +92,8 @@ Artifact = namedtuple("Artifact", ["name", "title", "expand", "cell", "aggregate
 
 # -- selftest: campaign-plumbing diagnostic cells ----------------------
 # A grid of trivially cheap cells that can be made arbitrarily slow via
-# options, used by the timeout-enforcement tests and the CI smoke job to
-# exercise hard kill-on-timeout without dragging real attacks in.
+# options, used by the timeout, retry and orphan tests to exercise the
+# queue's failure handling without dragging real attacks in.
 
 _SELFTEST_HEADER = ("cell", "slept(s)")
 
@@ -129,18 +127,9 @@ def _selftest_cell(cell, options):
                     f"(cell {index}, attempt {attempt})"
                 )
     # Worker-death injection: cells in ``kill_cells`` SIGKILL their own
-    # process — once, when ``kill_marker_dir`` is set (a marker file
-    # makes the next attempt survive), or on every attempt without it.
+    # process on every attempt.
     if index in set(options.get("kill_cells") or ()):
-        marker_dir = options.get("kill_marker_dir")
-        marker = (
-            os.path.join(marker_dir, f"killed-{index}") if marker_dir else None
-        )
-        if marker is None or not os.path.exists(marker):
-            if marker is not None:
-                with open(marker, "w"):
-                    pass
-            os.kill(os.getpid(), signal.SIGKILL)
+        os.kill(os.getpid(), signal.SIGKILL)
     sleep_s = float(options.get("sleep_s", 0.0))
     slow = options.get("slow_cells")
     if slow is not None and index not in set(slow):
@@ -190,7 +179,7 @@ ARTIFACTS = {
         tables.attack_expand, tables.attack_cell, tables.attack_aggregate,
     ),
     "selftest": Artifact(
-        "selftest", "Campaign self-test cells (timeout smoke)",
+        "selftest", "Campaign self-test cells (queue diagnostics)",
         _selftest_expand, _selftest_cell, _selftest_aggregate,
     ),
 }
@@ -211,15 +200,16 @@ class CampaignSpec:
     (artifacts ignore keys they do not use).
 
     ``cell_timeout`` (seconds) is a *hard* per-cell wall-clock limit:
-    cells run in killable worker processes and are terminated and
-    recorded as ``status="timeout"`` once it elapses.  ``None`` keeps
-    the soft accounting-free behaviour.
+    cells run in killable child processes of the queue workers and are
+    terminated and recorded as ``status="timeout"`` once it elapses.
+    ``None`` keeps the soft accounting-free behaviour.
 
-    ``backend`` selects the execution layer: ``"pool"`` (default) is
-    the in-process/multiprocessing path; ``"queue"`` serializes cells
-    into a durable SQLite work queue drained by killable worker
-    processes with lease recovery, bounded retries and poison-cell
-    quarantine.  ``queue`` tunes that backend (see
+    ``backend`` picks between the two ways to run cells.  ``"pool"``
+    (default) runs them serially in-process unless ``workers > 1`` or
+    ``cell_timeout`` is set; ``"queue"`` — and ``"pool"`` in those two
+    cases — serializes cells into a durable SQLite work queue drained
+    by ``workers`` local processes with lease recovery, bounded retries
+    and poison-cell quarantine.  ``queue`` tunes that backend (see
     :class:`repro.experiments.queue.QueueConfig`: ``lease_ttl``,
     ``max_attempts``, ``backoff_base``, ...).
     """
@@ -480,7 +470,7 @@ def sum_prep_stats(records):
 
 
 def _run_cell_payload(payload):
-    """Execute one cell; module-level so worker pools can pickle it."""
+    """Execute one cell in this process -> raw (unfinalized) record."""
     artifact_name, params, options = payload
     # Fault-injection site: a worker SIGKILLed the moment cell work
     # starts (no-op unless REPRO_FAULT_KILL_RATE is exported).
@@ -508,217 +498,27 @@ def _run_cell_payload(payload):
     )
 
 
-def _pool_context(spec):
-    if spec.mp_context:
-        return multiprocessing.get_context(spec.mp_context)
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-#: Sentinel the cell worker sends the moment it starts executing the
-#: payload, so the parent bills ``cell_timeout`` against cell work, not
-#: process bootstrap (interpreter start + imports under spawn contexts).
-_CELL_STARTED = "__cell_started__"
-
-#: Extra allowance for process bootstrap before the started sentinel
-#: arrives; a child hung in imports is still killed, just not a healthy
-#: spawn-context worker that spent seconds booting.
-_BOOT_GRACE_S = 30.0
-
-#: Sentinel for "the cell worker's pipe is closed and empty" — the
-#: child exited (or was SIGKILLed) without sending a record.  Distinct
-#: from ``None`` ("no message yet") so crash classification is
-#: immediate instead of hinging on a grace-poll race.
-_PIPE_CLOSED = "__pipe_closed__"
-
-
-def _run_cell_child(payload, conn):
-    """Per-cell worker-process entry point: run the cell, pipe the record."""
-    conn.send(_CELL_STARTED)
-    record = _run_cell_payload(payload)
-    conn.send(record)
-    conn.close()
-
-
-def _kill_process(proc):
-    """Terminate a cell worker, escalating to SIGKILL if it lingers."""
-    proc.terminate()
-    proc.join(1.0)
-    if proc.is_alive():
-        proc.kill()
-        proc.join(1.0)
-
-
-#: Poll interval of the hard-timeout scheduler; bounds how far past
-#: ``cell_timeout`` a kill can land (well inside the ~2x-timeout budget
-#: the tests assert).
-_WATCHDOG_POLL_S = 0.02
-
-
-def _run_cells_hard_timeout(spec, todo, payloads, finish):
-    """Run cells in killable per-cell processes, enforcing ``cell_timeout``.
-
-    Unlike the pool path, each cell gets its own process and pipe: a cell
-    overrunning the budget is killed (terminate, then kill) without
-    poisoning any shared queue, and the parent writes a
-    ``status="timeout"`` record in its place so the shard keeps moving.
-    Up to ``spec.workers`` cells run concurrently (``<= 1`` serializes
-    them, still isolated so the kill semantics hold).
-
-    Trade-off: per-cell processes start with a cold per-process
-    :class:`~repro.experiments.harness.PrepCache`, so campaigns opting
-    into ``cell_timeout`` repay each cell's preparation instead of
-    amortizing it across a long-lived pool worker.  That is the price of
-    a kill that cannot corrupt shared state; cross-campaign prep sharing
-    is the ROADMAP's answer for getting the amortization back.
-    """
-    ctx = _pool_context(spec)
-    limit = spec.cell_timeout
-    workers = max(1, spec.workers or 1)
-    pending = list(zip(todo, payloads))
-    pending.reverse()  # pop() from the tail preserves expansion order
-    active = []  # [proc, conn, cell, started_at, booted]
-
-    def drain(conn):
-        """Next message, ``None`` (nothing yet), or ``_PIPE_CLOSED``.
-
-        A SIGKILLed child closes its pipe end with nothing buffered;
-        ``poll`` reports readable and ``recv`` raises ``EOFError``
-        immediately.  Returning a distinct sentinel (instead of folding
-        EOF into "no message yet") lets the reaper classify the crash
-        the moment it happens — no 0.5s grace poll, no race between the
-        poll window and a record that will never arrive.
-        """
-        if not conn.poll(0):
-            return None
-        try:
-            return conn.recv()
-        except EOFError:
-            return _PIPE_CLOSED
-
-    def reap(entry):
-        """Harvest one active slot; returns False while still running."""
-        proc, conn, cell, started, booted = entry
-        record = drain(conn)
-        if record == _CELL_STARTED:
-            # Payload execution begins now: restart the budget clock so
-            # bootstrap (interpreter + imports under spawn) is not billed.
-            started = entry[3] = time.monotonic()
-            booted = entry[4] = True
-            record = drain(conn)
-        pipe_closed = record is _PIPE_CLOSED
-        if pipe_closed:
-            record = None
-        if record is None and not pipe_closed and proc.is_alive():
-            allowance = limit if booted else limit + _BOOT_GRACE_S
-            if time.monotonic() - started <= allowance:
-                return False
-            _kill_process(proc)
-            # A cell that finished in the kill window still gets its
-            # real record (finish() marks it timed_out by elapsed).
-            killed = drain(conn)
-            if killed is None or killed is _PIPE_CLOSED:
-                killed = make_cell_record(
-                    artifact=cell.artifact,
-                    params=cell.params,
-                    status="timeout",
-                    elapsed=time.monotonic() - started,
-                    pid=proc.pid,
-                    timed_out=True,
-                    cell_timeout=limit,
-                )
-            record = killed
-        elif record is None and not pipe_closed:
-            # Exited with the pipe still open (exotic: teardown raced
-            # the exit): give an in-flight record one last chance.
-            if conn.poll(0.5):
-                message = drain(conn)
-                record = None if message is _PIPE_CLOSED else message
-        proc.join(5.0)
-        if proc.is_alive():
-            _kill_process(proc)
-        conn.close()
-        if record is None:
-            # Closed pipe / silent exit with no record: the worker died
-            # mid-cell (SIGKILL, OOM, segfault).  Canonical crash
-            # record — same shape as every other status, so the crash
-            # is persisted for forensics and the cell stays retryable.
-            record = make_cell_record(
-                artifact=cell.artifact,
-                params=cell.params,
-                status="error",
-                error=(
-                    f"cell worker died without a result "
-                    f"(exitcode {proc.exitcode})"
-                ),
-                elapsed=time.monotonic() - started,
-                pid=proc.pid,
-                cell_timeout=limit,
-            )
-        finish(cell, record)
-        return True
-
-    try:
-        while pending or active:
-            while pending and len(active) < workers:
-                cell, payload = pending.pop()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_run_cell_child, args=(payload, child_conn)
-                )
-                proc.daemon = True
-                proc.start()
-                child_conn.close()
-                active.append(
-                    [proc, parent_conn, cell, time.monotonic(), False]
-                )
-            active = [entry for entry in active if not reap(entry)]
-            if active:
-                time.sleep(_WATCHDOG_POLL_S)
-    finally:
-        for proc, conn, _cell, _started, _booted in active:
-            _kill_process(proc)
-            conn.close()
-
-
-def run_one_cell_hard(spec, cell, payload):
-    """Run a single cell under the hard-timeout kill machinery.
-
-    The queue worker's per-cell path: same killable child process, boot
-    grace, watchdog and crash classification as the batch runner, for
-    exactly one cell.  Returns the raw record (not yet finalized).
-    """
-    out = {}
-
-    def finish(_cell, record):
-        out["record"] = record
-
-    _run_cells_hard_timeout(spec, [cell], [payload], finish)
-    return out["record"]
-
-
 def finalize_cell_record(record, cell_id, cell_timeout=None):
-    """Stamp identity + accounting onto a raw record (canonical shape).
+    """Stamp identity + timeout accounting onto a raw canonical record.
 
-    Single exit point for every backend: ensures the record carries
-    ``cell_id``, ``timed_out`` and ``cell_timeout`` no matter which
-    runner produced it, so persisted records always validate.
+    Single exit point for both ways of running cells, so persisted
+    records carry ``cell_id`` and, under a hard ``cell_timeout``, the
+    ``timed_out`` flag no matter which runner produced them.
     """
-    record.setdefault("result", None)
-    record.setdefault("error", None)
-    record.setdefault("prep", {})
     record["cell_id"] = cell_id
     if cell_timeout is not None:
         record["cell_timeout"] = cell_timeout
         record["timed_out"] = (
             record["status"] == "timeout" or record["elapsed"] > cell_timeout
         )
-    else:
-        record.setdefault("cell_timeout", None)
-        record["timed_out"] = bool(
-            record.get("timed_out", record["status"] == "timeout")
-        )
     return record
+
+
+def _report_cell(progress, record):
+    """One progress line for a finished cell record."""
+    if progress is not None:
+        progress(f"[{record['status']}] {record['cell_id']} "
+                 f"({record['elapsed']:.2f}s, pid {record['pid']})")
 
 
 def run_campaign(spec, resume=True, fresh=False, limit=None, progress=None):
@@ -761,6 +561,8 @@ def run_campaign(spec, resume=True, fresh=False, limit=None, progress=None):
         for entry in os.listdir(spec.cells_dir):
             if entry.endswith(".json"):
                 os.unlink(os.path.join(spec.cells_dir, entry))
+        # The queue is derived state and may hold another grid's tasks.
+        CellQueue.destroy(spec.directory)
 
     cells = expand_cells(spec)
     todo = []
@@ -771,73 +573,52 @@ def run_campaign(spec, resume=True, fresh=False, limit=None, progress=None):
             skipped += 1
             continue
         todo.append(cell)
+    held_back = set()
     if limit is not None:
+        held_back = {cell.cell_id for cell in todo[limit:]}
         todo = todo[:limit]
 
-    errors = []
-    timeouts = []
-    poisoned = []
-    prep_totals = {}
-
-    def account(cell_id, record, emit=True):
-        for key, value in (record.get("prep") or {}).items():
-            if isinstance(value, (int, float)):
-                prep_totals[key] = prep_totals.get(key, 0) + value
-        if record["status"] == "timeout":
-            timeouts.append(cell_id)
-        elif record["status"] == "poisoned":
-            poisoned.append(cell_id)
-        elif record["status"] == "error":
-            errors.append((cell_id, record["error"]))
-        if emit and progress is not None:
-            progress(
-                f"[{record['status']}] {cell_id} "
-                f"({record['elapsed']:.2f}s, pid {record['pid']})"
+    serial = (spec.backend != "queue" and spec.cell_timeout is None
+              and (spec.workers or 0) <= 1)
+    if serial:
+        for cell in todo:
+            record = finalize_cell_record(
+                _run_cell_payload((cell.artifact, cell.params, spec.options)),
+                cell.cell_id,
             )
-
-    def finish(cell, record):
-        record = finalize_cell_record(
-            record, cell.cell_id, cell_timeout=spec.cell_timeout
-        )
-        # Every status is persisted — error records are crash forensics
-        # (resume still treats them as pending and re-runs the cell).
-        _atomic_write_json(
-            os.path.join(spec.cells_dir, f"{cell.cell_id}.json"), record
-        )
-        account(cell.cell_id, record)
-
-    payloads = [(c.artifact, c.params, spec.options) for c in todo]
-    if spec.backend == "queue" and todo:
-        # Durable queue: cells become leased tasks drained by killable
-        # worker processes (lease recovery, retry/backoff, quarantine).
+            # Every status is persisted — error records are crash forensics
+            # (resume still treats them as pending and re-runs the cell).
+            _atomic_write_json(
+                os.path.join(spec.cells_dir, f"{cell.cell_id}.json"), record
+            )
+            _report_cell(progress, record)
+    elif todo:
+        # The local queue fleet drains the grid minus the cells ``limit``
+        # holds back (finished cells are reconciled to done).  Workers
+        # ack a cell whose record exists, so ``resume=False`` requeues.
         from .worker import run_queue_backend
 
-        run_queue_backend(spec, cells, progress=progress)
-        for cell in todo:
-            path = os.path.join(spec.cells_dir, f"{cell.cell_id}.json")
-            record = _read_cell_record(path)
-            if record is None:
-                errors.append((
-                    cell.cell_id,
-                    "queue drained but no valid record was published",
-                ))
-            else:
-                # The queue orchestrator already emitted live per-cell
-                # progress; only fold the record into the totals here.
-                account(cell.cell_id, record, emit=False)
-    elif spec.cell_timeout is not None and todo:
-        # Hard limit: per-cell killable processes, regardless of workers.
-        _run_cells_hard_timeout(spec, todo, payloads, finish)
-    elif spec.workers and spec.workers > 1 and len(todo) > 1:
-        ctx = _pool_context(spec)
-        with ctx.Pool(processes=min(spec.workers, len(todo))) as pool:
-            for cell, record in zip(
-                todo, pool.imap(_run_cell_payload, payloads)
-            ):
-                finish(cell, record)
-    else:
-        for cell, payload in zip(todo, payloads):
-            finish(cell, _run_cell_payload(payload))
+        if not resume:
+            _requeue_cells(spec, [cell.cell_id for cell in todo])
+        run_queue_backend(
+            spec, [cell for cell in cells if cell.cell_id not in held_back],
+            progress=progress, hold=held_back,
+        )
+
+    errors, timeouts, poisoned, records = [], [], [], []
+    for cell in todo:
+        path = os.path.join(spec.cells_dir, f"{cell.cell_id}.json")
+        record = _read_cell_record(path)
+        if record is None:
+            errors.append((cell.cell_id, "no valid record was published"))
+            continue
+        records.append(record)
+        if record["status"] == "timeout":
+            timeouts.append(cell.cell_id)
+        elif record["status"] == "poisoned":
+            poisoned.append(cell.cell_id)
+        elif record["status"] == "error":
+            errors.append((cell.cell_id, record["error"]))
 
     result = CampaignResult(
         spec=spec,
@@ -848,7 +629,7 @@ def run_campaign(spec, resume=True, fresh=False, limit=None, progress=None):
         elapsed=time.monotonic() - start,
         timeouts=timeouts,
         poisoned=poisoned,
-        prep=prep_totals,
+        prep=sum_prep_stats(records),
     )
     if not errors and result.ran + result.skipped == result.total:
         result.tables = aggregate_campaign(spec, cells=cells)
@@ -977,24 +758,35 @@ def retry_campaign(spec, statuses=None):
             f"cannot retry statuses {unknown}; retryable: "
             f"{list(RETRYABLE_STATUSES)}"
         )
-    removed = []
+    selected = []
     for cell in expand_cells(spec):
         path = os.path.join(spec.cells_dir, f"{cell.cell_id}.json")
         record = _read_cell_record(path)
         if record is not None and record["status"] in statuses:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                continue
-            removed.append(cell.cell_id)
+            selected.append(cell.cell_id)
+    return _requeue_cells(spec, selected)
+
+
+def _requeue_cells(spec, cell_ids):
+    """Delete the cells' records and reset their queue tasks to pending.
+
+    Returns the ids whose record was removed.  A corrupt queue is simply
+    dropped: the next run rebuilds it from the spec plus the surviving
+    records.
+    """
+    removed = []
+    for cell_id in cell_ids:
+        try:
+            os.unlink(os.path.join(spec.cells_dir, f"{cell_id}.json"))
+        except FileNotFoundError:
+            continue
+        removed.append(cell_id)
     if removed and os.path.exists(queue_path(spec.directory)):
         try:
             queue = CellQueue(spec.directory, spec.queue_config())
             queue.reset(removed)
             queue.close()
         except QueueCorruption:
-            # The queue is derived state: drop it and let the next run
-            # rebuild it from the spec plus the surviving records.
             CellQueue.destroy(spec.directory)
     return removed
 

@@ -13,8 +13,8 @@ Sites and their gates (all off unless the env var is set):
 ``mid_cell``
     ``REPRO_FAULT_KILL_RATE`` — SIGKILL the executing process the moment
     the cell payload starts (a worker dying mid-cell; exercises lease
-    expiry + requeue, or crash-record classification under the
-    hard-timeout runner).
+    expiry + requeue, or crash-record classification of the killable
+    cell child under ``cell_timeout``).
 ``before_publish``
     ``REPRO_FAULT_CRASH_BEFORE_PUBLISH_RATE`` — SIGKILL after the cell
     ran but before its record landed (work lost; the retry must rerun).

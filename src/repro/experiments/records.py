@@ -1,8 +1,9 @@
 """Canonical per-cell record schema shared by every campaign backend.
 
-Every backend — the in-process serial runner, the multiprocessing pool,
-the hard-timeout per-cell processes, and the durable work queue — emits
-the *same* record shape through :func:`make_cell_record`, and every
+Both ways of running cells — the in-process serial runner and the
+durable work queue (whose workers may run a cell in a killable child
+under ``cell_timeout``) — emit the *same* record shape through
+:func:`make_cell_record`, and every
 loader goes through :func:`validate_cell_record` before trusting a file
 on disk.  One shape means resume, ``status``, ``report``, aggregation
 and the fault-injection suite never have to special-case who produced a
@@ -135,8 +136,8 @@ _DETERMINISTIC_ATTACK_KEYS = (
 def deterministic_view(record):
     """Project a cell record onto its run-invariant fields.
 
-    Two runs of the same cell — direct campaign vs. service job, pool
-    vs. queue backend, cold vs. warm prep — must agree exactly on this
+    Two runs of the same cell — direct campaign vs. service job, serial
+    vs. queue, cold vs. warm prep — must agree exactly on this
     view; wall-clock, pids, worker identity and job provenance are
     stripped.  Used by the bit-identity tests and the ``serve-smoke``
     comparison against a direct ``repro campaign run``.

@@ -13,8 +13,8 @@ by three functions sharing one ``options`` dict:
 
 The classic serial entry points (``table1_rows`` ...) are thin
 expand→cell→aggregate loops, so the campaign orchestrator
-(:mod:`repro.experiments.campaign`) — which runs the same cells sharded
-across a worker pool and persisted per cell — produces bit-identical
+(:mod:`repro.experiments.campaign`) — which runs the same cells serially
+or on queue workers and persists them per cell — produces bit-identical
 tables by construction.
 
 All attacks see only the *resynthesized* locked netlist and the key-input

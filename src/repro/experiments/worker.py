@@ -2,17 +2,21 @@
 
 Two entry points share this module:
 
-* :func:`run_queue_backend` — the parent side of
-  ``repro campaign run --backend=queue``: populates the durable queue,
-  spawns ``spec.workers`` local worker processes, respawns any that die
-  (fault injection, OOM, SIGKILL), and returns once the queue is fully
-  drained with every task's record published and audited.
+* :func:`run_queue_backend` — the parent side of every parallel or
+  hard-timeout ``repro campaign run``: enqueues the cells to run,
+  spawns ``spec.workers`` local worker processes (which retire if the
+  parent dies), respawns any that die (fault injection, OOM, SIGKILL),
+  and returns once the queue is fully drained with every task's record
+  published and audited.
 * :func:`worker_loop` — one worker's life: claim a lease, run the cell,
   publish its canonical JSON record, ack; on failure report to the
   queue (retry with backoff, or quarantine).  ``repro worker <dir>``
   runs exactly this against any campaign directory, so extra processes
   — or other hosts mounting the same storage — can join a drain at any
   time.
+
+With ``cell_timeout`` set, a worker runs each cell in its own killable
+child process (:func:`_run_cell_killable`).
 
 Crash-window recovery, by construction:
 
@@ -28,6 +32,7 @@ Crash-window recovery, by construction:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import socket
@@ -46,12 +51,113 @@ __all__ = [
     "worker_loop",
     "run_queue_backend",
     "publish_quarantine_records",
+    "spawn_fleet_worker",
 ]
 
 
 def default_worker_id():
     """A fleet-unique worker identity (host + pid + nonce)."""
     return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+
+
+def _pool_context(spec):
+    if spec.mp_context:
+        return multiprocessing.get_context(spec.mp_context)
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+def _kill_process(proc):
+    """Terminate a process, escalating to SIGKILL if it lingers.
+
+    A no-op on a process that already exited.
+    """
+    proc.terminate()
+    proc.join(1.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(1.0)
+
+
+#: Sentinel the cell child sends the moment it starts executing the
+#: payload, so the parent bills ``cell_timeout`` against cell work, not
+#: process bootstrap (interpreter start + imports under spawn contexts).
+_CELL_STARTED = "__cell_started__"
+
+#: Extra allowance for process bootstrap before the started sentinel
+#: arrives; a child hung in imports is still killed, just not a healthy
+#: spawn-context child that spent seconds booting.
+_BOOT_GRACE_S = 30.0
+
+#: Sentinel for "the cell child's pipe is closed and empty" — the child
+#: exited (or was SIGKILLed) without sending a record.  Distinct from
+#: ``None`` ("no message yet") so a crash is classified the moment the
+#: pipe closes instead of hinging on a grace-poll race.
+_PIPE_CLOSED = "__pipe_closed__"
+
+
+def _run_cell_child(payload, conn):
+    """Killable cell child entry point: run the cell, pipe the record."""
+    conn.send(_CELL_STARTED)
+    conn.send(_campaign._run_cell_payload(payload))
+    conn.close()
+
+
+def _wait_message(conn, timeout):
+    """Next message within ``timeout`` s, ``None``, or ``_PIPE_CLOSED``."""
+    if not conn.poll(timeout):
+        return None
+    try:
+        return conn.recv()
+    except EOFError:
+        return _PIPE_CLOSED
+
+
+def _run_cell_killable(spec, payload):
+    """Run one cell in a killable child process under ``spec.cell_timeout``.
+
+    The budget starts when the child reports ``_CELL_STARTED`` (bootstrap
+    gets ``_BOOT_GRACE_S`` on top).  A cell still running at the limit
+    is killed (SIGTERM, then SIGKILL) and replaced by a
+    ``status="timeout"`` record; a child that dies without a record
+    (SIGKILL, OOM, segfault) yields a retryable ``status="error"`` crash
+    record.  Returns the raw record (not yet finalized).
+    """
+    artifact, params, _options = payload
+    ctx = _pool_context(spec)
+    limit = spec.cell_timeout
+    conn, child_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_run_cell_child, args=(payload, child_conn))
+    proc.daemon = True
+    proc.start()
+    child_conn.close()
+    started = time.monotonic()
+    try:
+        message = _wait_message(conn, limit + _BOOT_GRACE_S)
+        if message == _CELL_STARTED:
+            started = time.monotonic()
+            message = _wait_message(conn, limit)
+        timed_out = message is None
+        if timed_out:
+            _kill_process(proc)
+            # A cell that finished in the kill window keeps its real
+            # record (finalize marks it timed_out by elapsed).
+            message = _wait_message(conn, 0)
+        proc.join(5.0)
+        if isinstance(message, dict):
+            return message
+        return make_cell_record(
+            artifact=artifact, params=params,
+            status="timeout" if timed_out else "error",
+            error=None if timed_out else (
+                f"cell worker died without a result (exitcode {proc.exitcode})"
+            ),
+            elapsed=time.monotonic() - started, pid=proc.pid,
+            timed_out=timed_out, cell_timeout=limit,
+        )
+    finally:
+        _kill_process(proc)
+        conn.close()
 
 
 def _record_path(spec, cell_id):
@@ -200,10 +306,7 @@ def _process_task(spec, queue, config, task, worker_id):
             payload = (task.artifact, task.params, options)
             try:
                 if spec.cell_timeout is not None:
-                    cell = _campaign.CampaignCell(
-                        task.artifact, task.index, cell_id, task.params
-                    )
-                    record = _campaign.run_one_cell_hard(spec, cell, payload)
+                    record = _run_cell_killable(spec, payload)
                 else:
                     record = _campaign._run_cell_payload(payload)
             except Exception:
@@ -238,12 +341,17 @@ def _process_task(spec, queue, config, task, worker_id):
 
 
 def worker_loop(spec, worker_id=None, max_cells=None, config=None,
-                progress=None, exit_when_drained=True, should_stop=None):
+                progress=None, exit_when_drained=True, should_stop=None,
+                populate=True):
     """Drain the campaign's queue until empty (or ``max_cells`` claims).
 
     Safe to run concurrently with any number of other workers, locally
     or from other hosts sharing the campaign directory.  Returns a
     small outcome histogram.
+
+    ``populate`` first enqueues the spec's whole grid (what a standalone
+    ``repro worker`` joining a campaign needs); fleet workers skip it,
+    because their parent already enqueued the cells this run computes.
 
     With ``exit_when_drained=False`` the worker outlives the drain and
     keeps polling for new tasks — the shape a ``repro serve`` fleet
@@ -253,12 +361,12 @@ def worker_loop(spec, worker_id=None, max_cells=None, config=None,
     """
     worker_id = worker_id or default_worker_id()
     config = config or spec.queue_config()
-    cells = _campaign.expand_cells(spec)
-    loader = _terminal_record_loader(spec)
     queue = CellQueue(spec.directory, config)
     stats = {"worker": worker_id, "claimed": 0}
     try:
-        queue.ensure(cells, loader)
+        if populate:
+            queue.ensure(_campaign.expand_cells(spec),
+                         _terminal_record_loader(spec))
         while True:
             if should_stop is not None and should_stop():
                 stats["stopped"] = True
@@ -306,35 +414,58 @@ def _install_sigterm_exit():
         pass  # non-main thread or exotic platform: keep the default
 
 
-def _worker_entry(spec_data, worker_id):
-    """Module-level target for spawned worker processes (picklable)."""
-    _install_sigterm_exit()
-    spec = _campaign.CampaignSpec.from_dict(spec_data)
-    worker_loop(spec, worker_id=worker_id)
+def _worker_entry(spec_data, worker_id, parent_pid, exit_when_drained=True):
+    """Fleet worker process target (picklable): retire if orphaned.
 
-
-def _service_worker_entry(spec_data, worker_id, parent_pid):
-    """Fleet worker for ``repro serve``: poll forever, retire if orphaned.
-
-    Service workers do not exit on drain (new jobs arrive at any time);
-    instead they watch the supervising daemon's pid and retire when it
-    is gone, so a SIGKILLed daemon cannot leave immortal workers behind.
+    Campaign fleet workers exit once the queue drains; ``repro serve``
+    workers pass ``exit_when_drained=False`` and poll for new jobs.
+    Either way the worker watches its parent's pid between claims and
+    retires once the parent is gone, so a SIGKILLed campaign or daemon
+    cannot leave workers draining (and racing a later resume) behind.
     """
     _install_sigterm_exit()
     spec = _campaign.CampaignSpec.from_dict(spec_data)
     worker_loop(
-        spec, worker_id=worker_id, exit_when_drained=False,
-        should_stop=lambda: os.getppid() != parent_pid,
+        spec, worker_id=worker_id, exit_when_drained=exit_when_drained,
+        should_stop=lambda: os.getppid() != parent_pid, populate=False,
     )
 
 
-def _open_queue(spec, cells, config):
-    """Open + populate the queue, rebuilding once if it is corrupt."""
+def spawn_fleet_worker(spec, name, exit_when_drained=True):
+    """Start one fleet worker process, identified as ``<name>-<our pid>``.
+
+    NOT daemonic: a daemonic process cannot spawn the killable cell
+    child (``_run_cell_killable``), which turned every ``cell_timeout``
+    cell into a poisoned "daemonic processes are not allowed to have
+    children" failure.  Orphan prevention is the supervisor's
+    :func:`_kill_process` on exit plus the worker's parent-pid check.
+    """
+    proc = _pool_context(spec).Process(
+        target=_worker_entry,
+        args=(spec.to_dict(), f"{name}-{os.getpid()}", os.getpid(),
+              exit_when_drained),
+    )
+    proc.start()
+    return proc
+
+
+def _open_queue(spec, cells, config, hold=()):
+    """Open + populate the queue, rebuilding once if it is corrupt.
+
+    Cancelled tasks among ``cells`` go back to pending; pending tasks of
+    the ``hold`` cells are cancelled.
+    """
     loader = _terminal_record_loader(spec)
+    wanted = {cell.cell_id for cell in cells}
     for _attempt in range(2):
         queue = CellQueue(spec.directory, config)
         try:
             queue.ensure(cells, loader)
+            queue.reset([task.cell_id
+                         for task in queue.tasks(state="cancelled")
+                         if task.cell_id in wanted])
+            if hold:
+                queue.cancel(cell_ids=hold)
             return queue
         except QueueCorruption:
             queue.close()
@@ -348,11 +479,7 @@ def _open_queue(spec, cells, config):
 def _emit_new_records(spec, seen, progress):
     if progress is None:
         return
-    try:
-        entries = os.listdir(spec.cells_dir)
-    except OSError:
-        return
-    for entry in sorted(entries):
+    for entry in sorted(os.listdir(spec.cells_dir)):
         if not entry.endswith(".json") or entry in seen:
             continue
         record = _campaign._read_cell_record(
@@ -361,56 +488,36 @@ def _emit_new_records(spec, seen, progress):
         if record is None:
             continue  # mid-publish or torn; it will come around again
         seen.add(entry)
-        progress(
-            f"[{record['status']}] {record.get('cell_id', entry[:-5])} "
-            f"({record['elapsed']:.2f}s, pid {record['pid']})"
-        )
+        _campaign._report_cell(progress, record)
 
 
-def run_queue_backend(spec, cells, progress=None):
+def run_queue_backend(spec, cells, progress=None, hold=()):
     """Drive a queue-backed campaign to full drain (parent side).
 
-    Spawns ``spec.workers`` worker processes and keeps the fleet at
+    Enqueues ``cells`` (those without a terminal record are this run's
+    work), spawns ``spec.workers`` worker processes and keeps the fleet at
     strength while work remains — a worker lost to SIGKILL/fault
     injection is respawned, its leased cell recovered via TTL expiry.
     Completion requires the queue to be drained *and* every done task's
     record to pass audit (torn records requeue their cells).
+
+    ``hold`` names cells this run must leave alone (``run_campaign``'s
+    ``limit``): tasks an earlier, interrupted run left pending for them
+    are cancelled, and the run that next wants them resets them.
     """
     config = spec.queue_config()
     loader = _terminal_record_loader(spec)
-    queue = _open_queue(spec, cells, config)
-    ctx = _campaign._pool_context(spec)
+    queue = _open_queue(spec, cells, config, hold)
     n_workers = max(1, spec.workers or 1)
     # Generous but finite: quarantine bounds failures per cell, so a
     # respawn storm beyond this is a bug, not bad luck.
     respawn_cap = 8 * max(1, len(cells)) + 4 * n_workers + 16
     respawns = 0
-    spawned = 0
     # Resumed cells' records predate this run; only report new ones.
-    seen_records = set()
-    try:
-        seen_records.update(
-            e for e in os.listdir(spec.cells_dir) if e.endswith(".json")
-        )
-    except OSError:
-        pass
+    seen_records = set(os.listdir(spec.cells_dir))
 
-    def spawn():
-        nonlocal spawned
-        spawned += 1
-        # NOT daemonic: a daemonic process cannot spawn the per-cell
-        # hard-timeout child (run_one_cell_hard -> ctx.Process), which
-        # turned every cell_timeout queue cell into a poisoned
-        # "daemonic processes are not allowed to have children" failure.
-        # Orphan prevention is the finally-block _kill_process below.
-        proc = ctx.Process(
-            target=_worker_entry,
-            args=(spec.to_dict(), f"local-{spawned}-{os.getpid()}"),
-        )
-        proc.start()
-        return proc
-
-    workers = [spawn() for _ in range(n_workers)]
+    workers = [spawn_fleet_worker(spec, f"local-{i + 1}")
+               for i in range(n_workers)]
     try:
         while True:
             _emit_new_records(spec, seen_records, progress)
@@ -434,7 +541,7 @@ def run_queue_backend(spec, cells, progress=None):
             except QueueCorruption:
                 queue.close()
                 CellQueue.destroy(spec.directory)
-                queue = _open_queue(spec, cells, config)
+                queue = _open_queue(spec, cells, config, hold)
                 drained = False
             if not drained:
                 # Work remains: keep the fleet at strength.  (While
@@ -451,11 +558,12 @@ def run_queue_backend(spec, cells, progress=None):
                                 f"restarted {respawns} times without "
                                 "draining the queue; giving up"
                             )
-                        workers[i] = spawn()
+                        workers[i] = spawn_fleet_worker(
+                            spec, f"local-{n_workers + respawns}"
+                        )
             time.sleep(config.poll)
         _emit_new_records(spec, seen_records, progress)
     finally:
         for proc in workers:
-            if proc.is_alive():
-                _campaign._kill_process(proc)
+            _kill_process(proc)
         queue.close()

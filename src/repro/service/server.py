@@ -37,9 +37,10 @@ from ..experiments import tables as _tables
 from ..experiments.campaign import ARTIFACTS, CampaignCell, CampaignSpec
 from ..experiments.queue import CellQueue, QueueCorruption
 from ..experiments.worker import (
-    _service_worker_entry,
+    _kill_process,
     _terminal_record_loader,
     publish_quarantine_records,
+    spawn_fleet_worker,
 )
 from .jobstore import (
     TERMINAL_JOB_STATES,
@@ -63,6 +64,12 @@ _SUPERVISE_PERIOD = 0.2
 
 #: Every N-th supervisor tick also runs the expensive audit pass.
 _AUDIT_EVERY = 25
+
+#: Why a job ended unsuccessfully, keyed by its derived state.
+_STATE_ERRORS = {
+    "failed": "one or more cells were quarantined (poisoned)",
+    "expired": "deadline expired before all cells finished",
+}
 
 
 class ServiceError(ValueError):
@@ -219,8 +226,7 @@ class AttackService:
             self._httpd.server_close()
             self._httpd = None
         for proc in self._fleet:
-            if proc.is_alive():
-                _campaign._kill_process(proc)
+            _kill_process(proc)
         self._fleet = []
 
     def __enter__(self):
@@ -300,6 +306,10 @@ class AttackService:
         cell_states = self._cell_states(job)
         status = job.to_dict()
         status["state"] = derive_job_state(job, cell_states)
+        if status["state"] != job.state:
+            # The supervisor persists the transition on its next tick;
+            # a client seeing the new state must already see why.
+            status["error"] = _STATE_ERRORS.get(status["state"])
         status["cell_states"] = cell_states
         counts = {}
         for state in cell_states.values():
@@ -367,16 +377,9 @@ class AttackService:
         return states
 
     def _spawn_worker(self):
-        ctx = _campaign._pool_context(self.spec)
         self._spawned += 1
-        proc = ctx.Process(
-            target=_service_worker_entry,
-            args=(self.spec.to_dict(),
-                  f"serve-{self._spawned}-{os.getpid()}",
-                  os.getpid()),
-        )
-        proc.start()
-        return proc
+        return spawn_fleet_worker(self.spec, f"serve-{self._spawned}",
+                                  exit_when_drained=False)
 
     def _keep_fleet(self):
         """Hold the shared fleet at ``spec.workers`` live processes."""
@@ -411,12 +414,8 @@ class AttackService:
         for job in self.store.live_jobs():
             derived = derive_job_state(job, self._cell_states(job))
             if derived != job.state:
-                error = None
-                if derived == "failed":
-                    error = "one or more cells were quarantined (poisoned)"
-                elif derived == "expired":
-                    error = "deadline expired before all cells finished"
-                self.store.set_state(job.job_id, derived, error=error)
+                self.store.set_state(job.job_id, derived,
+                                     error=_STATE_ERRORS.get(derived))
 
     def _supervise(self):
         tick = 0

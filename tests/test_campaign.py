@@ -7,6 +7,9 @@ interrupted mid-run must complete only the missing cells on resume.
 
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -23,6 +26,57 @@ from repro.experiments.campaign import (
     run_campaign,
     write_reports,
 )
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _records(cells_dir):
+    return {e for e in os.listdir(cells_dir) if e.endswith(".json")}
+
+
+def _kill_campaign_mid_run(args, cells_dir):
+    """Start ``repro campaign run *args``; SIGKILL it once it has published
+    a cell.  Returns the pids of its worker fleet."""
+    env = dict(os.environ, REPRO_SCALE="tiny")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "campaign", "run", *args],
+        env=env, cwd=REPO_ROOT,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline and proc.poll() is None:
+        if os.path.isdir(cells_dir) and _records(cells_dir):
+            break
+        time.sleep(0.02)
+    fleet = []
+    if proc.poll() is None:
+        with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as handle:
+            fleet = [int(pid) for pid in handle.read().split()]
+    proc.kill()
+    proc.wait()
+    return fleet
+
+
+def _wait_retired(pids):
+    """Wait until every pid has exited (or is a zombie nobody reaps)."""
+
+    def running(pid):
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 60
+    while any(running(pid) for pid in pids):
+        assert time.monotonic() < deadline, (
+            "fleet workers outlived their SIGKILLed parent"
+        )
+        time.sleep(0.05)
 
 
 def _spec(tmp_path, name="t1", workers=0, artifacts=("table1",), **options):
@@ -167,47 +221,26 @@ class TestRun:
         assert recovered.complete and recovered.ran == 1 and recovered.skipped == 5
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"),
+                    reason="reads fleet pids from Linux /proc")
 class TestKillAndResume:
     def test_sigkill_mid_campaign_then_resume(self, tmp_path):
         """Kill a live 2-worker campaign process; resume runs only the rest."""
-        import subprocess
-        import sys
-        import time
-
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(repo_root, "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        env["REPRO_SCALE"] = "tiny"
         root = str(tmp_path)
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "campaign", "run", "killed",
-                "--artifacts", "table2",
-                "--circuits", "c6288,b14_C,b15_C",
-                "--techniques", "sarlock,antisat,cac",
-                "--scale", "tiny", "--workers", "2", "--root", root,
-            ],
-            env=env, cwd=repo_root,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
         cells_dir = os.path.join(root, "killed", "cells")
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if os.path.isdir(cells_dir) and os.listdir(cells_dir):
-                break
-            if proc.poll() is not None:
-                break
-            time.sleep(0.02)
-        proc.kill()
-        proc.wait()
+        fleet = _kill_campaign_mid_run([
+            "killed", "--artifacts", "table2",
+            "--circuits", "c6288,b14_C,b15_C",
+            "--techniques", "sarlock,antisat,cac",
+            "--scale", "tiny", "--workers", "2", "--root", root,
+        ], cells_dir)
+        # Orphaned fleet workers finish the cell they hold, then retire;
+        # only then is the set of published records final.
+        _wait_retired(fleet)
 
         # Only published records count: a kill landing mid-write leaves a
         # stray <cell>.json.tmp.<pid> behind, which resume ignores.
-        done_before = {
-            e for e in os.listdir(cells_dir) if e.endswith(".json")
-        }
+        done_before = _records(cells_dir)
         assert done_before, "campaign never persisted a cell before the kill"
 
         spec = load_spec("killed", results_root=root)
@@ -217,9 +250,26 @@ class TestKillAndResume:
         assert outcome.skipped == len(done_before)
         assert outcome.ran == outcome.total - len(done_before)
         # The pre-kill records were not touched by the resume pass.
-        assert done_before <= {
-            e for e in os.listdir(cells_dir) if e.endswith(".json")
-        }
+        assert done_before <= _records(cells_dir)
+
+    def test_fleet_retires_when_parent_is_sigkilled(self, tmp_path):
+        """Orphaned queue workers stop claiming instead of draining on."""
+        spec_path = tmp_path / "slow.json"
+        spec_path.write_text(json.dumps({
+            "name": "orphans", "artifacts": ["selftest"],
+            "options": {"cells": 12, "sleep_s": 0.3},
+            "workers": 2, "backend": "queue", "mp_context": "fork",
+        }))
+        cells_dir = str(tmp_path / "orphans" / "cells")
+        fleet = _kill_campaign_mid_run(
+            ["--spec", str(spec_path), "--root", str(tmp_path)], cells_dir
+        )
+        assert len(fleet) == 2
+        at_kill = len(_records(cells_dir))
+        _wait_retired(fleet)
+        # Each orphan may still publish the one cell it had claimed.
+        final = len(_records(cells_dir))
+        assert final <= at_kill + len(fleet) < 12
 
 
 class TestHardTimeout:
@@ -236,8 +286,6 @@ class TestHardTimeout:
         )
 
     def test_hung_cell_is_killed_and_recorded_as_timeout(self, tmp_path):
-        import time
-
         spec = self._sleepy_spec(tmp_path)
         t0 = time.monotonic()
         outcome = run_campaign(spec)
@@ -256,9 +304,9 @@ class TestHardTimeout:
         # Aggregation survives and carries exactly the healthy cell's row.
         assert outcome.tables["selftest"][1] == [(0, "0.00")]
 
-    def test_resume_treats_timeout_as_completed_not_retry_forever(self, tmp_path):
-        import time
-
+    def test_resume_treats_timeout_as_completed_not_retry_forever(
+        self, tmp_path, capsys
+    ):
         spec = self._sleepy_spec(tmp_path)
         first = run_campaign(spec)
         assert len(first.timeouts) == 1
@@ -272,6 +320,11 @@ class TestHardTimeout:
         status = campaign_status(spec=spec)
         assert status["pending"] == []
         assert len(status["timeouts"]) == 1
+        rc = cli_main(["campaign", "status", "hard", "--root", str(tmp_path)])
+        assert rc == 0  # a timed-out cell counts as done
+        out = capsys.readouterr().out
+        assert "total: 2/2 done" in out
+        assert "timed out: selftest--cell=1" in out
 
     def test_unwrap_refuses_timed_out_aggregate(self, tmp_path):
         outcome = run_campaign(self._sleepy_spec(tmp_path))
@@ -285,19 +338,6 @@ class TestHardTimeout:
         outcome = run_campaign(spec)
         assert outcome.complete and outcome.timeouts == []
         assert outcome.tables["table1"] == table1_rows(scale="tiny")
-
-    def test_parallel_watchdog_kills_only_the_slow_cells(self, tmp_path):
-        spec = CampaignSpec(
-            name="hard2",
-            artifacts=("selftest",),
-            options={"cells": 4, "sleep_s": 30.0, "slow_cells": [0, 2]},
-            workers=2,
-            cell_timeout=1.0,
-            results_root=str(tmp_path),
-        )
-        outcome = run_campaign(spec)
-        assert outcome.ran == 4 and len(outcome.timeouts) == 2
-        assert outcome.tables["selftest"][1] == [(1, "0.00"), (3, "0.00")]
 
 
 class TestStatusAndReport:
@@ -356,7 +396,9 @@ class TestCli:
             "--root", root,
         ])
         assert rc == 0
-        assert "ran=2" in capsys.readouterr().out
+        assert "partial, cells total=6 ran=2 skipped=0 errors=0" in (
+            capsys.readouterr().out
+        )
 
         rc = cli_main(["campaign", "status", "cli-smoke", "--root", root])
         assert rc == 2  # pending cells signal "incomplete"
@@ -367,7 +409,7 @@ class TestCli:
         rc = cli_main(["campaign", "run", "cli-smoke", "--root", root])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "skipped=2" in out and "complete" in out
+        assert "complete, cells total=6 ran=4 skipped=2 errors=0" in out
 
         rc = cli_main(["campaign", "status", "cli-smoke", "--root", root])
         assert rc == 0

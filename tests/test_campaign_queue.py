@@ -20,13 +20,18 @@ from repro.experiments.campaign import (
     CampaignSpec,
     campaign_status,
     expand_cells,
+    finalize_cell_record,
     load_spec,
     retry_campaign,
     run_campaign,
 )
 from repro.experiments.queue import CellQueue, QueueConfig, queue_path
-from repro.experiments.records import deterministic_view
-from repro.experiments.worker import _process_task, worker_loop
+from repro.experiments.records import deterministic_view, validate_cell_record
+from repro.experiments.worker import (
+    _process_task,
+    _run_cell_killable,
+    worker_loop,
+)
 
 #: Tuned-for-tests queue: sub-second leases so expiry-driven recovery is
 #: fast, near-zero backoff so retries do not dominate wall-clock.
@@ -139,6 +144,44 @@ class TestQueueBackend:
             assert os.stat(
                 os.path.join(spec.cells_dir, f)
             ).st_mtime_ns == mtime, "resume must not re-run published cells"
+
+    def test_limit_enqueues_only_the_limited_cells(self, tmp_path):
+        spec = _qspec(tmp_path, "q-limit", cells=4, workers=2)
+        partial = run_campaign(spec, limit=1)
+        assert not partial.complete and partial.ran == 1
+        assert os.listdir(spec.cells_dir) == ["selftest--cell=0.json"]
+        assert _counts(spec)["done"] == 1
+        full = run_campaign(spec)
+        assert full.complete and full.skipped == 1 and full.ran == 3
+
+    def test_limit_holds_back_tasks_an_interrupted_run_left(self, tmp_path):
+        spec = _qspec(tmp_path, "q-limit-stale", cells=4, workers=2)
+        spec.save()
+        # A killed run leaves its whole grid pending in the queue.
+        queue = CellQueue(spec.directory, spec.queue_config())
+        queue.ensure(expand_cells(spec))
+        queue.close()
+        partial = run_campaign(spec, limit=1)
+        assert partial.ran == 1 and len(os.listdir(spec.cells_dir)) == 1
+        assert _counts(spec)["cancelled"] == 3
+        full = run_campaign(spec)
+        assert full.complete and full.skipped == 1 and full.ran == 3
+        assert _counts(spec)["done"] == 4
+
+    def test_no_resume_reruns_every_cell(self, tmp_path):
+        spec = _qspec(tmp_path, "q-rerun", cells=4, workers=2)
+        assert run_campaign(spec).complete
+        mtimes = {
+            entry.path: entry.stat().st_mtime_ns
+            for entry in os.scandir(spec.cells_dir)
+        }
+        rerun = run_campaign(spec, resume=False)
+        assert rerun.complete and rerun.ran == 4 and rerun.skipped == 0
+        for path, mtime in mtimes.items():
+            assert os.stat(path).st_mtime_ns != mtime, (
+                "resume=False must recompute the cell, not ack its old record"
+            )
+        assert _counts(spec)["done"] == 4
 
     def test_transient_cell_error_retries_with_backoff(self, tmp_path):
         reference = _serial_reference(tmp_path, cells=4)
@@ -363,6 +406,21 @@ class TestCli:
         assert stored.queue["lease_ttl"] == 5
         assert stored.queue["max_attempts"] == 2
 
+    def test_run_exits_nonzero_on_poisoned_cells(self, tmp_path, capsys):
+        spec_path = tmp_path / "poison.json"
+        spec_path.write_text(json.dumps({
+            "name": "qcli-poison", "artifacts": ["selftest"],
+            "options": {"cells": 2, "fail_cells": [1]}, "workers": 2,
+            "mp_context": "fork", "queue": QUEUE_FAST,
+        }))
+        rc = cli_main(["campaign", "run", "--spec", str(spec_path),
+                       "--backend", "queue", "--root", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert "poisoned=1" in captured.out
+        assert rc == 1
+        assert "cell selftest--cell=1 poisoned:" in captured.err
+        assert "injected failure (cell 1, attempt 3)" in captured.err
+
     def test_worker_command_drains_a_campaign_directory(
         self, tmp_path, capsys
     ):
@@ -586,28 +644,45 @@ class TestQueueCellTimeout:
             assert record["attempt"] == 1
 
     def test_converges_bit_identically_with_pool_backend(self, tmp_path):
-        options = {"cells": 4, "sleep_s": 30.0, "slow_cells": [2]}
-        pool = CampaignSpec(
-            name="pool-timeout-ref",
-            artifacts=("selftest",),
-            options=dict(options),
-            workers=2,
-            cell_timeout=1.0,
-            results_root=str(tmp_path / "pool-root"),
-            mp_context="fork",
+        """The queue (with a cell killed at its limit) matches the default
+        ``backend="pool"`` serial run on every healthy cell."""
+        reference = _serial_reference(tmp_path, cells=4)
+        serial_cells = os.path.join(
+            str(tmp_path / "serial-ref-root"), "serial-ref", "cells"
         )
-        pool_outcome = run_campaign(pool)
-        assert pool_outcome.timeouts == ["selftest--cell=2"]
-        spec = _qspec(tmp_path, "q-vs-pool", workers=2, **options)
+        spec = _qspec(tmp_path, "q-vs-serial", workers=2, cells=4,
+                      sleep_s=30.0, slow_cells=[2])
         spec.cell_timeout = 1.0
         outcome = run_campaign(spec)
         assert outcome.complete, outcome.summary()
         assert outcome.timeouts == ["selftest--cell=2"]
-        assert outcome.tables["selftest"] == pool_outcome.tables["selftest"]
-        for cell in range(4):
+        header, rows = reference
+        assert outcome.tables["selftest"] == (
+            header, [row for row in rows if row[0] != 2]
+        )
+        for cell in (0, 1, 3):
             cell_id = f"selftest--cell={cell}"
+            with open(os.path.join(serial_cells, f"{cell_id}.json")) as handle:
+                serial = json.load(handle)
             assert deterministic_view(_record(spec, cell_id)) == \
-                deterministic_view(_record(pool, cell_id))
+                deterministic_view(serial)
+
+    def test_killed_cell_child_yields_crash_record(self, tmp_path):
+        """A cell child that dies without a record is a retryable crash,
+        not a timeout."""
+        spec = _qspec(tmp_path, "q-crash", cells=1, kill_cells=[0])
+        spec.cell_timeout = 30.0
+        record = _run_cell_killable(
+            spec, ("selftest", {"cell": 0}, spec.options)
+        )
+        record = finalize_cell_record(
+            record, "selftest--cell=0", cell_timeout=spec.cell_timeout
+        )
+        assert record["status"] == "error"
+        assert "died without a result" in record["error"]
+        assert record["timed_out"] is False
+        assert record["cell_timeout"] == 30.0
+        assert validate_cell_record(record) is not None
 
     def test_worker_sigkills_still_recover_with_timeout(self, tmp_path,
                                                         monkeypatch):
