@@ -3,7 +3,7 @@
 
 Emits ``benchmarks/results/BENCH_micro.json`` (machine-readable, see
 ``repro.perf.write_bench_json``) so every perf PR has a recorded
-trajectory to beat.  Three sections:
+trajectory to beat.  Sections:
 
 * **evaluation** — wide-word exhaustive sweeps over registry hosts, the
   dict-keyed reference interpreter (``Circuit.evaluate_interpreted``)
@@ -21,9 +21,6 @@ trajectory to beat.  Three sections:
   traffic.  Rows must be bit-identical; the section is skipped (and
   recorded as such) on hosts without a C toolchain or with
   ``REPRO_NATIVE=0``.
-* **autotune** — measures gate-evals/s across sweep chunk widths for
-  each available backend (``repro.netlist.tune``) and persists this
-  host's profile under ``benchmarks/results/tune/``.
 * **solver_native** — the native (C) propagation core versus the pure
   Python propagation loop on the solver-section instances.  Both must
   replay the identical trajectory (statuses, event counts, models are
@@ -204,31 +201,6 @@ def bench_native_eval(circuits, repeat):
             }
         )
     return rows, None
-
-
-def bench_autotune(budget_s=1.5):
-    """Measure and persist this host's chunk-width/backend profile."""
-    from repro.netlist import tune
-
-    profile = tune.measure_profile(budget_s=budget_s)
-    path = tune.save_profile(profile)
-    tune.clear_cached_profile()
-    rows = []
-    for backend, rates in sorted(profile["results"].items()):
-        best_bits = profile["chosen"][backend]
-        rows.append(
-            {
-                "backend": backend,
-                "chosen_chunk_bits": best_bits,
-                "best_gate_evals_per_s": rates[str(best_bits)],
-                "rates": rates,
-            }
-        )
-    return {
-        "rows": rows,
-        "profile_path": path,
-        "measure_seconds": profile["measure_seconds"],
-    }
 
 
 def bench_solver_reuse(circuits, rounds=24, repeat=3):
@@ -807,12 +779,6 @@ def main(argv=None):
         )
     if native_skip:
         print(f"  native section skipped: {native_skip}")
-    autotune = bench_autotune()
-    for row in autotune["rows"]:
-        print(
-            f"  tune {row['backend']:>8}: chunk_bits={row['chosen_chunk_bits']} "
-            f"({row['best_gate_evals_per_s']:.3g} gate-evals/s)"
-        )
     solver = bench_solver(circuits, sat_vars, repeat=args.repeat)
     for row in solver:
         print(
@@ -889,7 +855,6 @@ def main(argv=None):
         "evaluation": evaluation,
         "native_eval": native_eval,
         "native_eval_skipped": native_skip,
-        "autotune": autotune,
         "solver": solver,
         "solver_native": solver_native,
         "solver_native_skipped": solver_native_skip,
@@ -910,10 +875,6 @@ def main(argv=None):
                 if native_eval
                 else None
             ),
-            "autotune_chosen": {
-                row["backend"]: row["chosen_chunk_bits"]
-                for row in autotune["rows"]
-            },
             "solver_min_prop_rate_ratio": min(
                 r["prop_rate_ratio"] for r in solver
             ),

@@ -20,9 +20,7 @@ script driven on ``.bench`` files):
 * ``worker`` — drain a campaign's durable work queue from this process
   (run any number, on any host sharing the campaign directory);
 * ``prepstore`` — inspect or wipe the shared cross-campaign preparation
-  store;
-* ``tune``     — measure and persist this host's simulation autotune
-  profile (chunk widths per backend, python vs native).
+  store.
 
 Key files are one ``name=0|1`` pair per line.
 """
@@ -567,42 +565,6 @@ def _cmd_prepstore(args):
     return 0
 
 
-def _cmd_tune(args):
-    from .netlist import tune
-    from .netlist.native import last_error, native_available
-
-    path = tune.profile_path()
-    if args.show:
-        profile = tune.load_profile(path)
-        if profile is None:
-            print(f"no profile at {path}")
-            return 2
-        print(json.dumps(profile, indent=2, sort_keys=True))
-        return 0
-    if not args.force:
-        existing = tune.load_profile(path)
-        if existing is not None:
-            print(f"profile already present at {path} (use --force to remeasure)")
-            print(json.dumps(existing["chosen"], sort_keys=True))
-            return 0
-    profile = tune.measure_profile(budget_s=args.budget)
-    written = tune.save_profile(profile, path)
-    tune.clear_cached_profile()
-    summary = {
-        "chosen": profile["chosen"],
-        "native_available": native_available(),
-        "measure_seconds": round(profile["measure_seconds"], 3),
-    }
-    if not native_available() and last_error():
-        summary["native_error"] = last_error()
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if written:
-        print(f"wrote {written}")
-        return 0
-    print(f"warning: could not persist profile at {path}", file=sys.stderr)
-    return 1
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -855,19 +817,6 @@ def build_parser():
     psub.add_parser("info", help="print store statistics as JSON")
     psub.add_parser("clear", help="remove every stored preparation")
     p.set_defaults(func=_cmd_prepstore)
-
-    p = sub.add_parser(
-        "tune",
-        help="measure and persist the per-host simulation autotune "
-             "profile (REPRO_TUNE_DIR)",
-    )
-    p.add_argument("--budget", type=float, default=2.0,
-                   help="rough measurement budget in seconds")
-    p.add_argument("--force", action="store_true",
-                   help="remeasure even when a profile exists")
-    p.add_argument("--show", action="store_true",
-                   help="print the stored profile and exit")
-    p.set_defaults(func=_cmd_tune)
     return parser
 
 

@@ -97,9 +97,7 @@ class PrepCache:
     is exceeded.
     """
 
-    def __init__(self, capacity=None):
-        if capacity is None:
-            capacity = int(os.environ.get("REPRO_PREP_CACHE_CAPACITY", "16"))
+    def __init__(self, capacity=16):
         self.capacity = max(1, capacity)
         self._pid = None
         self._data = OrderedDict()

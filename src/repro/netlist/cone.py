@@ -46,7 +46,7 @@ __all__ = [
 
 #: Per-circuit memo entry cap; one oversized circuit cannot hoard memory.
 #: The table is simply dropped when full (entries are cheap to rebuild).
-_MEMO_CAP = int(os.environ.get("REPRO_CONE_MEMO_CAP", "4096"))
+_MEMO_CAP = 4096
 
 _MEMO_ENABLED = os.environ.get("REPRO_CONE_MEMO", "1") != "0"
 

@@ -29,9 +29,8 @@ Two execution paths share the instruction array:
 
 Wide-word sweeps are chunked: a ``2**n`` exhaustive sweep is split into
 fixed-width chunks so Python bigints stay cache-sized instead of growing
-to ``2**n`` bits.  The chunk width defaults to the per-host tuned value
-(:func:`repro.netlist.tune.effective_chunk_bits`, falling back to
-:data:`DEFAULT_CHUNK_BITS` when no profile exists).
+to ``2**n`` bits.  The chunk width defaults to
+:data:`DEFAULT_CHUNK_BITS`.
 
 Instances are cached on the owning :class:`Circuit` via
 :meth:`Circuit.compiled` and invalidated together with the topological
@@ -82,7 +81,7 @@ _NARY_JOIN = {
     OP_XNORN: (" ^ ", True),
 }
 
-#: Fallback sweep chunk when no tuned per-host profile exists:
+#: Sweep chunk width when ``chunk_bits`` is not given:
 #: 2**13 patterns = 1 KiB per signal word.
 DEFAULT_CHUNK_BITS = 13
 
@@ -501,8 +500,7 @@ class CompiledCircuit:
         Splitting the ``2**n`` sweep into ``2**chunk_bits``-pattern
         chunks caps bigint size, so a 20-input sweep works in 1 KiB
         words instead of 128 KiB ones.  ``chunk_bits=None`` (default)
-        resolves to the per-host tuned width for the backend that will
-        run the sweep (:mod:`repro.netlist.tune`); the chunking is pure
+        resolves to :data:`DEFAULT_CHUNK_BITS`; the chunking is pure
         partitioning, so every width yields bit-identical results.
 
         ``fixed`` supplies scalar 0/1 values for inputs not swept
@@ -518,11 +516,7 @@ class CompiledCircuit:
         self._evals += 1
         native = self._maybe_native()
         if chunk_bits is None:
-            from .tune import effective_chunk_bits
-
-            chunk_bits = effective_chunk_bits(
-                "native" if native is not None else "python"
-            )
+            chunk_bits = DEFAULT_CHUNK_BITS
         chunk_bits = min(chunk_bits, n)
         width = 1 << chunk_bits
         mask = (1 << width) - 1
@@ -639,9 +633,7 @@ class CompiledCircuit:
         if native is not None and n <= MAX_EXHAUSTIVE_INPUTS:
             if all(name in self._input_pos for name in names):
                 if chunk_bits is None:
-                    from .tune import effective_chunk_bits
-
-                    chunk_bits = effective_chunk_bits("native")
+                    chunk_bits = DEFAULT_CHUNK_BITS
                 chunk_bits = min(chunk_bits, n)
                 mask = (1 << (1 << chunk_bits)) - 1
                 fixed = fixed or {}

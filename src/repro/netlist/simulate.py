@@ -130,9 +130,9 @@ def simulate_exhaustive(circuit, chunk_bits=None):
     Entry ``j`` is the output tuple when input ``i`` carries bit ``i`` of
     ``j`` (inputs in declaration order).  Only for small input counts.
     The sweep runs through the compiled engine in ``2**chunk_bits``-
-    pattern chunks (default: the per-host tuned width, see
-    :mod:`repro.netlist.tune`), so wide sweeps never materialize a
-    ``2**n``-bit word.
+    pattern chunks (default:
+    :data:`~repro.netlist.engine.DEFAULT_CHUNK_BITS`), so wide sweeps
+    never materialize a ``2**n``-bit word.
     """
     n = len(circuit.inputs)
     # Checked before the 2**n-entry table allocation below — the engine's

@@ -26,16 +26,11 @@ if "REPRO_PREP_STORE_DIR" not in os.environ:
     os.environ["REPRO_PREP_STORE_DIR"] = _store_dir
     atexit.register(shutil.rmtree, _store_dir, ignore_errors=True)
 # Same hermeticity for the native-engine .so cache (tests corrupt cache
-# entries on purpose) and the autotune profile dir (tests must not pick
-# up — or overwrite — this machine's real profile).
+# entries on purpose).
 if "REPRO_NATIVE_CACHE_DIR" not in os.environ:
     _native_dir = tempfile.mkdtemp(prefix="repro-nativecache-test-")
     os.environ["REPRO_NATIVE_CACHE_DIR"] = _native_dir
     atexit.register(shutil.rmtree, _native_dir, ignore_errors=True)
-if "REPRO_TUNE_DIR" not in os.environ:
-    _tune_dir = tempfile.mkdtemp(prefix="repro-tune-test-")
-    os.environ["REPRO_TUNE_DIR"] = _tune_dir
-    atexit.register(shutil.rmtree, _tune_dir, ignore_errors=True)
 
 
 @pytest.fixture

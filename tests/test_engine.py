@@ -15,7 +15,7 @@ import pytest
 
 from factories import build_exotic_circuit, build_random_circuit
 from repro.netlist import Circuit, EvaluationError
-from repro.netlist.engine import CompiledCircuit
+from repro.netlist.engine import DEFAULT_CHUNK_BITS, CompiledCircuit
 from repro.netlist.simulate import (
     exhaustive_patterns,
     pack_patterns,
@@ -90,6 +90,16 @@ class TestChunkedSweep:
         )
         assert merged_mask == mask
         assert merged == ref
+
+    def test_default_chunk_width(self):
+        circuit = build_random_circuit(n_inputs=14, n_gates=50, seed=4)
+        engine = CompiledCircuit(circuit, native=False)
+        width = 1 << DEFAULT_CHUNK_BITS
+        chunks = [(offset, w) for offset, w, _m, _o in engine.sweep_exhaustive()]
+        assert chunks == [(0, width), (width, width)]
+        assignment, mask = exhaustive_patterns(list(circuit.inputs))
+        ref = circuit.evaluate_interpreted(assignment, mask, outputs_only=True)
+        assert circuit.compiled().exhaustive_outputs() == (ref, mask)
 
     def test_partial_sweep_with_fixed(self):
         circuit = build_random_circuit(n_inputs=8, n_gates=40, seed=6)
