@@ -1,11 +1,11 @@
-"""Pre-overhaul CDCL solver, kept verbatim as the perf baseline.
+"""Pre-overhaul CDCL solver, kept verbatim as an independent oracle.
 
 This is the seed revision of ``repro.sat.solver`` (signed literals with
 ``abs()`` in the inner loops, no blocker literals, per-propagation watch
-list rebuilds).  ``bench_micro`` runs it against the current solver on
-identical instances so every BENCH_micro.json records the propagation-
-rate improvement of the overhauled hot path.  Not part of the library;
-do not import outside benchmarks.
+list rebuilds).  ``tests/test_solver_differential.py`` runs it against
+the current solver on random and attack-generated CNFs and requires the
+same verdicts.  Not part of the library; do not import it from
+``repro``.
 """
 
 

@@ -25,7 +25,7 @@ Design points:
   bit-identical to cold ones by construction.
 * **LRU size bound.**  Entries carry their last-use time in the file
   mtime (hits re-touch it); once the store exceeds ``capacity`` entries
-  (``REPRO_PREP_STORE_CAPACITY``, default 64), the least-recently-used
+  (:data:`DEFAULT_CAPACITY` unless passed), the least-recently-used
   entries are evicted at publish time.
 * **Determinism contract.**  The content hash covers inputs, not bytes:
   it relies on :func:`repro.synth.resynth.resynthesize` being bit-
@@ -53,6 +53,7 @@ __all__ = [
     "serialize_prepared",
     "deserialize_prepared",
     "DEFAULT_STORE_ROOT",
+    "DEFAULT_CAPACITY",
     "FORMAT_VERSION",
 ]
 
@@ -70,6 +71,9 @@ DEFAULT_STORE_ROOT = os.path.join(
         os.path.abspath(__file__))))),
     "benchmarks", "results", "prepstore",
 )
+
+#: Entries kept before least-recently-used eviction.
+DEFAULT_CAPACITY = 64
 
 
 def store_key(params):
@@ -188,7 +192,7 @@ class PrepStore:
         if root is None:
             root = os.environ.get("REPRO_PREP_STORE_DIR") or DEFAULT_STORE_ROOT
         if capacity is None:
-            capacity = int(os.environ.get("REPRO_PREP_STORE_CAPACITY", "64"))
+            capacity = DEFAULT_CAPACITY
         if enabled is None:
             enabled = os.environ.get("REPRO_PREP_STORE", "1") != "0"
         self.root = root

@@ -21,7 +21,7 @@ as ``frozenset`` (callers treat them read-only); circuit-valued results
 are cached once and returned as cheap :meth:`Circuit.copy` clones so a
 caller mutating its cone can never corrupt the cache.  ``REPRO_CONE_MEMO=0``
 in the environment (or :func:`set_cone_memo`) disables the layer, which
-is how the perf harness measures cold-versus-warm sweeps.
+is how ``perfbench/run.py --ablate`` measures its end-to-end share.
 """
 
 from __future__ import annotations

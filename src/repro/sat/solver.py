@@ -874,7 +874,7 @@ class Solver:
         return value == 1
 
     def stats_snapshot(self):
-        """Cumulative counters as a dict (used by the perf harness)."""
+        """Cumulative counters as a dict."""
         return {
             "conflicts": self.conflicts,
             "decisions": self.decisions,

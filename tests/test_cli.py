@@ -9,6 +9,7 @@ import pytest
 
 from factories import build_random_circuit
 from repro.cli import main
+from repro.experiments.harness import prepare_locked
 from repro.netlist import parse_bench_file, write_bench_file
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -108,17 +109,33 @@ class TestOtherCommands:
 
 class TestEnvironment:
     def test_malformed_cache_caps_do_not_crash(self):
-        """The cone-memo and prep-cache caps are constants, not knobs."""
+        """The cone-memo, prep-cache and prep-store caps are constants,
+        not knobs."""
         env = dict(os.environ, REPRO_CONE_MEMO_CAP="lots",
-                   REPRO_PREP_CACHE_CAPACITY="lots")
+                   REPRO_PREP_CACHE_CAPACITY="lots",
+                   REPRO_PREP_STORE_CAPACITY="lots")
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")])
         )
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "--help"], env=env, cwd=REPO_ROOT,
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+        for argv in (["--help"], ["prepstore", "info"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], env=env, cwd=REPO_ROOT,
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+
+    def test_prepstore_info_counts_and_clear_removes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_PREP_STORE_DIR", str(tmp_path / "store"))
+        for technique in ("sarlock", "antisat"):
+            prepare_locked("c6288", technique, scale="tiny", cache=False)
+        assert main(["prepstore", "info"]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 2
+        assert main(["prepstore", "clear"]) == 0
+        assert capsys.readouterr().out.strip() == "removed 2 entries"
+        assert main(["prepstore", "info"]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 0
 
     def test_tune_is_not_a_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

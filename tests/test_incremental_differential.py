@@ -14,6 +14,8 @@ Deadline expiry mid-iteration is driven by the fake clock from
 timeout off the same shared Deadline discipline.
 """
 
+import random
+
 import pytest
 
 from factories import build_locked_circuit
@@ -27,6 +29,9 @@ from repro.attacks import (
     sat_attack,
 )
 from repro.budget import Deadline
+from repro.corpus import resolve_circuit
+from repro.locking import lock_xor
+from repro.netlist.simulate import random_patterns
 
 #: The five techniques of the QBF-vs-exhaustive layer (SFLTs + DFLTs).
 TECHNIQUES = ["antisat", "caslock", "sarlock", "ttlock", "cac"]
@@ -113,6 +118,35 @@ def test_noncanonical_modes_agree_on_status_and_unlock(technique):
     assert inc.success
     _assert_key_unlocks(locked, inc.key)
     _assert_key_unlocks(locked, scr.key)
+
+
+def test_modes_agree_on_corpus_netlist():
+    """A checked-in ``.bench`` netlist through the corpus registry: both
+    modes agree on status and both keys unlock the original.
+
+    With 36 data inputs an exhaustive check is infeasible, so the keys
+    are checked against the original on 256 seeded random patterns.
+    """
+    locked = lock_xor(resolve_circuit("corpus:c432").circuit, 8, seed=17)
+    inc = _run(sat_attack, locked, "incremental", "xor_lock", time_limit=None)
+    scr = _run(sat_attack, locked, "scratch", "xor_lock", time_limit=None)
+    assert (inc.success, inc.timed_out) == (scr.success, scr.timed_out)
+    assert inc.success
+
+    data_inputs = [
+        s for s in locked.circuit.inputs if s not in set(locked.key_inputs)
+    ]
+    words, mask = random_patterns(data_inputs, 256, random.Random("c432"))
+    want = locked.original.evaluate_interpreted(
+        dict(words), mask, outputs_only=True
+    )
+    for key in (inc.key, scr.key):
+        assignment = dict(words)
+        assignment.update({k: mask if v else 0 for k, v in key.items()})
+        got = locked.circuit.evaluate_interpreted(
+            assignment, mask, outputs_only=True
+        )
+        assert all(got[o] == want[o] for o in locked.original.outputs)
 
 
 @pytest.mark.parametrize("attack_name", sorted(ATTACKS))

@@ -259,7 +259,8 @@ class TestCampaignIntegration:
             assert result.prep.get("store_hits") == 2
             assert result.prep.get("store_misses", 0) == 0
 
-    def test_status_reports_prep_and_store_stats(self, tmp_path, monkeypatch):
+    def test_status_reports_prep_and_store_stats(self, tmp_path, monkeypatch,
+                                                 capsys):
         monkeypatch.setenv("REPRO_PREP_STORE_DIR", str(tmp_path / "store"))
         from repro.experiments import prepstore
 
@@ -272,6 +273,14 @@ class TestCampaignIntegration:
         assert status["store"]["entries"] == 2
         assert status["store"]["root"] == str(tmp_path / "store")
         assert status["healthy"] == 2
+
+        from repro.cli import main
+
+        assert main(["campaign", "status", "stat",
+                     "--root", spec.results_root]) == 0
+        out = capsys.readouterr().out
+        assert "prep: store hits=0 misses=2 puts=2" in out
+        assert "store: 2/64 entries (on)" in out
 
     def test_prep_store_false_option_bypasses_store(self, tmp_path,
                                                     monkeypatch):

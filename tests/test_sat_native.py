@@ -17,6 +17,7 @@ import pytest
 
 from factories import build_random_circuit, random_3cnf
 from repro import nativelib
+from repro.benchgen.registry import generate_host
 from repro.netlist import native as sim_native
 from repro.netlist.engine import CompiledCircuit
 from repro.sat import Solver
@@ -99,6 +100,37 @@ class TestAvailability:
         solver.add_clause([-1])
         assert solver.solve() is True
         assert solver.model()[2] is True
+
+    def test_native_cores_engage_whenever_they_can(self):
+        """Under the ambient environment both cores build and engage
+        exactly when native is enabled and a compiler is present.
+
+        The other native tests skip on a compiler-less host, so without
+        this check a broken C build would pass the suite silently.  Run
+        once with a toolchain and once under ``REPRO_NATIVE_CC`` pointing
+        at a missing binary, it asserts opposite outcomes.
+        """
+        expected = (
+            os.environ.get("REPRO_NATIVE", "1") != "0"
+            and nativelib.find_compiler() is not None
+        )
+        assert sim_native.native_available() is expected
+        assert sat_native.native_available() is expected
+        assert (Solver().backend == "native") is expected, (
+            sat_native.last_error()
+        )
+
+        circuit = generate_host("c6288")
+        engine = CompiledCircuit(circuit, native=True)
+        assert engine.ensure_native(force=True) is expected, (
+            sim_native.last_error()
+        )
+        sub = list(circuit.inputs)[:12]
+        got, _ = engine.exhaustive_outputs(sub, chunk_bits=10)
+        want, _ = CompiledCircuit(circuit, native=False).exhaustive_outputs(
+            sub, chunk_bits=13
+        )
+        assert got == want
 
 
 @needs_cc
