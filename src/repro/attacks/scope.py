@@ -22,7 +22,11 @@ simplification" depends on what is being analyzed:
 
 The synthesis step here is constant propagation + dead-code elimination +
 a windowed SAT implication sweep, mirroring what a commercial tool's
-constant-propagation and redundancy-removal stages do.
+constant-propagation and redundancy-removal stages do.  Without the
+implication sweep (``use_implications=False``) no pinned netlist is
+built: :func:`~repro.synth.constprop.pinned_features` computes each
+pin's features from the folded fanout region, sharing one compiled
+engine per sweep.
 """
 
 from __future__ import annotations
@@ -30,8 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..budget import Deadline
-from ..netlist.cone import memoize_analysis, transitive_fanout
-from ..synth.constprop import circuit_features, dead_code_eliminate, propagate_constants
+from ..netlist.cone import transitive_fanout
+from ..netlist.engine import CompiledCircuit
+from ..synth.constprop import (
+    circuit_features,
+    dead_code_eliminate,
+    pinned_features,
+    propagate_constants,
+)
 from ..synth.sweep import implication_simplify, simulation_observations
 
 __all__ = ["ScopeResult", "scope_attack"]
@@ -63,35 +73,33 @@ class ScopeResult:
         )
 
 
-def _pinned_features(
-    circuit, key, value, use_implications, window, max_conflicts, max_checks,
-    power_patterns, deadline, region=None,
+def _swept_features(
+    circuit, key, value, window, max_conflicts, max_checks, power_patterns,
+    deadline, region,
 ):
-    if region is None:
-        region = transitive_fanout(circuit, [key], include_sources=False)
+    """Features of the pinned netlist after the SAT implication sweep."""
     pinned, _ = propagate_constants(circuit, {key: bool(value)})
     pinned, _ = dead_code_eliminate(pinned)
     # The pinned copy is evaluated once or twice (observation screen +
     # power proxy) and discarded: mark it ephemeral so its engine never
     # spends kernel codegen or a native-backend bind on it.
     pinned.mark_ephemeral()
-    if use_implications:
-        # Top-down over the affected region: locking-unit merge points sit
-        # near the outputs and collapse first.
-        ordered = [s for s in pinned.topological_order() if s in region]
-        ordered.reverse()
-        if ordered:
-            observations = simulation_observations(pinned, patterns=96)
-            pinned, _ = implication_simplify(
-                pinned,
-                region=ordered,
-                window=window,
-                max_conflicts=max_conflicts,
-                max_checks=max_checks,
-                observations=observations,
-                time_limit=deadline,
-            )
-            pinned.mark_ephemeral()  # simplified copy is throwaway too
+    # Top-down over the affected region: locking-unit merge points sit
+    # near the outputs and collapse first.
+    ordered = [s for s in pinned.topological_order() if s in region]
+    ordered.reverse()
+    if ordered:
+        observations = simulation_observations(pinned, patterns=96)
+        pinned, _ = implication_simplify(
+            pinned,
+            region=ordered,
+            window=window,
+            max_conflicts=max_conflicts,
+            max_checks=max_checks,
+            observations=observations,
+            time_limit=deadline,
+        )
+        pinned.mark_ephemeral()  # simplified copy is throwaway too
     return circuit_features(pinned, power_patterns=power_patterns)
 
 
@@ -135,48 +143,40 @@ def scope_attack(
     guesses = {}
     features = {}
     timed_out = False
+    inputs = set(circuit.inputs)
+    # The fast path evaluates the unpinned netlist once per pin: one
+    # interpreter engine serves the whole sweep and is dropped with it
+    # (kernel codegen or a native bind would not pay off over a few
+    # hundred evaluations, and caching it on a long-lived netlist would
+    # keep it alive after the sweep).
+    engine = (
+        None if use_implications
+        else CompiledCircuit(circuit, codegen=False, native=False)
+    )
     for key in key_inputs:
         if not timed_out and deadline.expired():
             timed_out = True
-        if timed_out:
+        if timed_out or key not in inputs:
+            # Unreached, absent, or gate-driven (pinning a gate's output
+            # is not a key-bit pin): undeciphered.
             guesses[key] = None
             continue
-        if key not in circuit:
-            guesses[key] = None
-            continue
-        # One structural walk per key: the 0-pin and 1-pin sides share
-        # the fanout region, and the memo keeps it across repeated
-        # sweeps of the same netlist (e.g. rule comparisons).
-        region = transitive_fanout(circuit, [key], include_sources=False)
-        feats = {}
-        for value in (0, 1):
-            compute = lambda v=value: _pinned_features(
-                circuit,
-                key,
-                v,
-                use_implications,
-                window,
-                max_conflicts,
-                max_checks,
-                power_patterns,
-                deadline,
-                region=region,
-            )
-            if use_implications:
-                # The implication sweep is deadline-bounded, so its
-                # result is not a pure function of the netlist: compute
-                # fresh every time.
-                feats[value] = compute()
-            else:
-                # Fast path is deterministic in (circuit, key, value,
-                # knobs): reuse features across pins and repeated sweeps
-                # through the same epoch-tied memo the cone walks use.
-                feats[value] = memoize_analysis(
-                    circuit,
-                    ("scope_feats", key, value, window, max_conflicts,
-                     max_checks, power_patterns),
-                    compute,
+        if use_implications:
+            region = transitive_fanout(circuit, [key], include_sources=False)
+            feats = {
+                value: _swept_features(
+                    circuit, key, value, window, max_conflicts, max_checks,
+                    power_patterns, deadline, region,
                 )
+                for value in (0, 1)
+            }
+        else:
+            feats = {
+                value: pinned_features(
+                    circuit, {key: bool(value)}, power_patterns, engine
+                )
+                for value in (0, 1)
+            }
         if deadline.expired():
             # The deadline landed inside this key's 0-vs-1 sweep pair:
             # the two sides got unequal probing effort, so an area

@@ -135,7 +135,7 @@ class Circuit:
         """Per-circuit memo table for derived structural results.
 
         Cleared on every mutation (same lifetime as the compiled-engine
-        cache).  Users — :mod:`repro.netlist.cone` and the SCOPE sweep —
+        cache).  Users (:func:`repro.netlist.cone.memoize_analysis`)
         store frozen/copy-on-return values only, keyed by tuples whose
         first element names the analysis.
         """
@@ -281,10 +281,11 @@ class Circuit:
     # ------------------------------------------------------------------
     def mark_ephemeral(self):
         """Hint that this circuit is throwaway (evaluated a handful of
-        times, then discarded — SCOPE's pinned copies are the canonical
-        case).  Its compiled engine then skips Python kernel codegen
-        *and* native compilation outright, both of which only amortize
-        over repeated evaluation this circuit will never see.  Returns
+        times, then discarded — the pinned copies of SCOPE's implication
+        path are the canonical case).  Its compiled engine then skips
+        Python kernel codegen *and* native compilation outright, both of
+        which only amortize over repeated evaluation this circuit will
+        never see.  Returns
         ``self`` for chaining.
         """
         self._ephemeral = True

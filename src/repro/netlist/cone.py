@@ -67,8 +67,7 @@ def set_cone_memo(enabled):
 def memoize_analysis(circuit, key, compute):
     """``compute()`` memoized in ``circuit``'s epoch-tied analysis cache.
 
-    The shared entry point for every structural memo in the tree (cone
-    primitives here, pinned-feature reuse in :mod:`repro.attacks.scope`).
+    The shared entry point for every structural memo in the tree.
     Values must be immutable or copied before hand-out by the caller.
     """
     if not _MEMO_ENABLED:

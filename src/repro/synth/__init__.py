@@ -4,6 +4,7 @@ from .constprop import (
     CircuitFeatures,
     circuit_features,
     dead_code_eliminate,
+    pinned_features,
     propagate_constants,
 )
 from .resynth import resynthesize
@@ -21,6 +22,7 @@ __all__ = [
     "CircuitFeatures",
     "circuit_features",
     "dead_code_eliminate",
+    "pinned_features",
     "propagate_constants",
     "resynthesize",
     "anonymize_internals",

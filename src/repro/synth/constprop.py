@@ -2,14 +2,22 @@
 
 This is the engine behind the SCOPE attack (which compares how much a
 netlist simplifies when a key bit is pinned to 0 versus 1) and a helper
-pass for the resynthesizer.  Folding is frontier-based: only the fanout
-cone of the pinned signals is visited, so pinning one key input of a
-20k-gate netlist costs time proportional to the affected region.
+pass for the resynthesizer.  Folding is frontier-based: a worklist walks
+only the fanout of the pinned signals and stops wherever a gate no
+longer changes, so the fold itself costs time proportional to the
+affected region.  :func:`propagate_constants` then materializes the
+pinned netlist (a copy of every gate, linear in the netlist), while
+:func:`pinned_features` computes the features of the pinned, dead-code
+eliminated netlist without building it: its liveness walk and power
+evaluation are linear, the fold and the depth update stay within the
+region.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from ..netlist.circuit import Circuit
 from ..netlist.gate import Gate, GateType
@@ -19,6 +27,7 @@ __all__ = [
     "propagate_constants",
     "dead_code_eliminate",
     "circuit_features",
+    "pinned_features",
     "CircuitFeatures",
 ]
 
@@ -48,22 +57,19 @@ _BASE_IS_INVERTING = {
 }
 
 
-def _const_of(gate, values):
-    """Constant value (0/1) of a signal if known, else None."""
-    if gate.gtype is GateType.CONST0:
-        return 0
-    if gate.gtype is GateType.CONST1:
-        return 1
-    return values.get(gate.name)
+_CONST_VALUE = {GateType.CONST0: 0, GateType.CONST1: 1}
+
+#: Gate types the area feature does not count (free after mapping).
+_FREE_TYPES = (GateType.INPUT, GateType.BUF, GateType.CONST0, GateType.CONST1)
 
 
-def _fold(gtype, fanins, values):
-    """Fold one gate given known fanin constants.
+def _fold(gtype, fanins, const_in):
+    """Fold one gate given its fanins' known constants.
 
+    ``const_in`` holds, per fanin, its constant value (0/1) or ``None``.
     Returns ``("const", 0/1)``, ``("gate", gtype, fanins)`` (possibly
     simplified), or ``None`` when nothing changed.
     """
-    const_in = [values.get(s) for s in fanins]
     if all(v is None for v in const_in):
         return None
 
@@ -113,55 +119,58 @@ def _fold(gtype, fanins, values):
     return None
 
 
-def propagate_constants(circuit, fixed, name=None):
-    """Pin inputs to constants and fold the consequences.
+def _normalize_pins(circuit, fixed):
+    """``fixed`` as input-name -> 0/1; reject pins on non-input signals.
 
-    Parameters
-    ----------
-    fixed:
-        Mapping input-name -> bool.  Pinned inputs are removed from the
-        input list and become constant gates (names preserved).
+    Pinning a gate-driven signal would fold its fanout as if it were
+    constant while the gate itself kept computing its old function, so
+    it is refused.  Pins naming absent signals are kept (and are no-ops).
+    """
+    pins = {}
+    for sig, value in fixed.items():
+        if sig in circuit and not circuit.gate(sig).is_input:
+            raise ValueError(
+                f"cannot pin {sig!r}: it is driven by a gate, not a primary input"
+            )
+        pins[sig] = int(bool(value))
+    return pins
 
-    Returns ``(new_circuit, folded_count)`` where ``folded_count`` is the
+
+def _fold_frontier(circuit, pins):
+    """Fold the fanout frontier of the pinned inputs ``pins``.
+
+    The one worklist behind :func:`propagate_constants` and
+    :func:`pinned_features`.  Returns ``(overrides, folded)``: the
+    replacement gate of every non-input gate the fold changed, and the
     number of gates that became constants or simplified.
     """
-    out = Circuit(name or f"{circuit.name}_cp")
-    fixed = {k: int(bool(v)) for k, v in fixed.items()}
-    for sig in circuit.inputs:
-        if sig in fixed:
-            out._gates[sig] = Gate(
-                sig, GateType.CONST1 if fixed[sig] else GateType.CONST0, ()
-            )
-        else:
-            out.add_input(sig)
-    for gate in circuit.gates():
-        out._gates[gate.name] = gate
-    out._invalidate()
-    out.set_outputs(list(circuit.outputs))
-
-    values = dict(fixed)
-    for gate in circuit.gates():
-        if gate.gtype is GateType.CONST0:
-            values[gate.name] = 0
-        elif gate.gtype is GateType.CONST1:
-            values[gate.name] = 1
-
-    fanout = out.fanout_map()
-    worklist = list(fixed)
+    gates = circuit._gates
+    fanout = circuit.fanout_map()
+    values = dict(pins)
+    overrides = {}
+    worklist = list(pins)
     folded = 0
-    seen_const = set(fixed)
+    seen_const = set(pins)
     while worklist:
         sig = worklist.pop()
         for succ in fanout.get(sig, ()):
-            gate = out._gates[succ]
+            gate = overrides.get(succ)
+            if gate is None:
+                gate = gates[succ]
             if gate.is_constant:
                 continue
-            result = _fold(gate.gtype, gate.fanins, values)
+            const_in = []
+            for src in gate.fanins:
+                value = values.get(src)
+                if value is None and src in gates:
+                    value = _CONST_VALUE.get(gates[src].gtype)
+                const_in.append(value)
+            result = _fold(gate.gtype, gate.fanins, const_in)
             if result is None:
                 continue
             if result[0] == "const":
                 value = result[1]
-                out._gates[succ] = Gate(
+                overrides[succ] = Gate(
                     succ, GateType.CONST1 if value else GateType.CONST0, ()
                 )
                 values[succ] = value
@@ -173,8 +182,38 @@ def propagate_constants(circuit, fixed, name=None):
                 _, gt, fanins = result
                 if gt is not gate.gtype or fanins != gate.fanins:
                     folded += 1
-                out._gates[succ] = Gate(succ, gt, fanins)
+                overrides[succ] = Gate(succ, gt, fanins)
+    return overrides, folded
+
+
+def propagate_constants(circuit, fixed, name=None):
+    """Pin inputs to constants and fold the consequences.
+
+    Parameters
+    ----------
+    fixed:
+        Mapping input-name -> bool.  Pinned inputs are removed from the
+        input list and become constant gates (names preserved).  A name
+        absent from the circuit is ignored; a name driven by a gate
+        raises ``ValueError``.
+
+    Returns ``(new_circuit, folded_count)`` where ``folded_count`` is the
+    number of gates that became constants or simplified.
+    """
+    fixed = _normalize_pins(circuit, fixed)
+    overrides, folded = _fold_frontier(circuit, fixed)
+    out = Circuit(name or f"{circuit.name}_cp")
+    for sig in circuit.inputs:
+        if sig in fixed:
+            out._gates[sig] = Gate(
+                sig, GateType.CONST1 if fixed[sig] else GateType.CONST0, ()
+            )
+        else:
+            out.add_input(sig)
+    for gate in circuit.gates():
+        out._gates[gate.name] = overrides.get(gate.name, gate)
     out._invalidate()
+    out.set_outputs(list(circuit.outputs))
     return out, folded
 
 
@@ -220,19 +259,103 @@ class CircuitFeatures:
         return (self.area, self.depth, self.power)
 
 
+def _switching_power(words, patterns):
+    """Sum of ``p*(1-p)`` over simulated signal words of ``patterns`` bits.
+
+    ``math.fsum`` makes the total exact-rounded, so it does not depend on
+    the order the words come in.
+    """
+    terms = []
+    for ones in range(patterns + 1):
+        p = ones / patterns
+        terms.append(p * (1.0 - p))
+    ones = map(str.count, map(bin, words), repeat("1"))
+    return math.fsum(map(terms.__getitem__, ones))
+
+
 def circuit_features(circuit, power_patterns=64, rng=None):
     """Extract :class:`CircuitFeatures` from a netlist."""
-    area = sum(
-        1
-        for g in circuit.gates()
-        if g.gtype not in (GateType.BUF, GateType.CONST0, GateType.CONST1)
-    )
+    area = sum(1 for g in circuit.gates() if g.gtype not in _FREE_TYPES)
     depth = circuit.depth()
     power = 0.0
     if power_patterns and circuit.inputs:
         words, mask = random_patterns(list(circuit.inputs), power_patterns, rng)
         values = circuit.evaluate(words, mask)
-        for sig, word in values.items():
-            p = bin(word).count("1") / power_patterns
-            power += p * (1.0 - p)
+        power = _switching_power(values.values(), power_patterns)
+    return CircuitFeatures(area=area, depth=depth, power=power)
+
+
+def pinned_features(circuit, fixed, power_patterns, engine):
+    """Features of ``circuit`` with the inputs in ``fixed`` pinned.
+
+    Returns exactly ``circuit_features(dead_code_eliminate(
+    propagate_constants(circuit, fixed)[0])[0], power_patterns)`` without
+    building that netlist:
+
+    * the fold runs over the pinned inputs' frontier only, and the
+      changed gates are kept as overrides of ``circuit``'s gates;
+    * liveness is a walk from the outputs over the overridden gates, and
+      the area counts the live gates;
+    * depth reuses ``circuit``'s logic levels and recomputes only the
+      live signals downstream of an overridden gate;
+    * power comes from one evaluation of ``circuit`` itself, driven by
+      the pinned netlist's stimulus with the pinned words held constant.
+      Folding preserves every live signal's function under the pins, so
+      its word equals the pinned netlist's.
+
+    ``engine`` is a :class:`~repro.netlist.engine.CompiledCircuit` of
+    ``circuit`` in its current structure; a sweep pinning many inputs
+    one at a time builds it once and passes it to every call.
+    """
+    pins = {s: v for s, v in _normalize_pins(circuit, fixed).items() if s in circuit}
+    overrides, _ = _fold_frontier(circuit, pins)
+    for sig, value in pins.items():
+        overrides[sig] = Gate(sig, GateType.CONST1 if value else GateType.CONST0, ())
+    gates = circuit._gates
+    live = set()
+    area = 0
+    stack = list(circuit.outputs)
+    while stack:
+        sig = stack.pop()
+        if sig not in live:
+            live.add(sig)
+            gate = overrides.get(sig) or gates[sig]
+            if gate.gtype not in _FREE_TYPES:
+                area += 1
+            stack.extend(gate.fanins)
+
+    depth = 0
+    if circuit.outputs:
+        base = engine.levels()
+        index = engine.signal_index
+        fanout = circuit.fanout_map()
+        affected = set()
+        stack = [s for s in overrides if s not in pins]
+        while stack:
+            sig = stack.pop()
+            if sig not in affected:
+                affected.add(sig)
+                stack.extend(fanout[sig])
+        level = {}
+        for sig in sorted(affected & live, key=index.__getitem__):
+            fanins = (overrides.get(sig) or gates[sig]).fanins
+            if fanins:
+                level[sig] = 1 + max(
+                    level[s] if s in level else base[index[s]] for s in fanins
+                )
+            else:
+                level[sig] = 0
+        depth = max(
+            level[o] if o in level else base[index[o]] for o in circuit.outputs
+        )
+
+    power = 0.0
+    free = [s for s in circuit.inputs if s not in pins]
+    if power_patterns and free:
+        words, mask = random_patterns(free, power_patterns)
+        for sig, value in pins.items():
+            words[sig] = mask if value else 0
+        values = engine.evaluate(words, mask)
+        live.update(free)
+        power = _switching_power(map(values.__getitem__, live), power_patterns)
     return CircuitFeatures(area=area, depth=depth, power=power)

@@ -13,6 +13,7 @@ from repro.attacks import (
     score_key,
 )
 from repro.locking import lock_sarlock, lock_ttlock, lock_xor
+from repro.synth import circuit_features, dead_code_eliminate, propagate_constants
 
 
 @pytest.fixture(scope="module")
@@ -139,9 +140,82 @@ class TestScope:
         result = scope_attack(locked.circuit, ["ghost_key"], use_implications=False)
         assert result.guesses["ghost_key"] is None
 
+    def test_gate_driven_key_unresolved(self, host):
+        # Pinning a gate's output is not a key-bit pin: neither path may
+        # fold it (propagate_constants refuses), so the bit is undeciphered.
+        locked = lock_sarlock(host, 4, seed=6)
+        gate = next(iter(locked.circuit.gates())).name
+        for implications in (False, True):
+            result = scope_attack(locked.circuit, [gate, locked.key_inputs[0]],
+                                  use_implications=implications)
+            assert result.guesses[gate] is None
+            assert gate not in result.features
+            assert locked.key_inputs[0] in result.features
+
     def test_ttlock_partial_on_full_netlist(self, host):
         locked = lock_ttlock(host, 6, seed=6)
         result = scope_attack(locked.circuit, locked.key_inputs, rule="preserve",
                               use_implications=False)
         score = score_key(locked, result.guesses)
         assert score.dk <= score.total  # sanity: no over-reporting
+
+
+def reference_scope(circuit, key_inputs, rule, power_patterns):
+    """SCOPE's fast path spelled out with pinned netlists: one
+    propagate/DCE/features chain per key and value."""
+    guesses, features = {}, {}
+    for key in key_inputs:
+        if key not in circuit.inputs:
+            guesses[key] = None
+            continue
+        feats = {}
+        for value in (0, 1):
+            pinned, _ = propagate_constants(circuit, {key: bool(value)})
+            pinned, _ = dead_code_eliminate(pinned)
+            feats[value] = circuit_features(pinned, power_patterns=power_patterns)
+        features[key] = feats
+        if feats[0].area == feats[1].area:
+            guesses[key] = None
+            continue
+        smaller = 0 if feats[0].area < feats[1].area else 1
+        guesses[key] = bool(1 - smaller) if rule == "preserve" else bool(smaller)
+    return guesses, features
+
+
+class TestScopeFastPath:
+    LOCKS = ((lock_sarlock, 6), (lock_ttlock, 6), (lock_xor, 8))
+
+    @pytest.mark.parametrize("rule", ["preserve", "collapse"])
+    @pytest.mark.parametrize("power_patterns", [16, 24])
+    def test_matches_reference_sweep(self, host, rule, power_patterns):
+        for lock, width in self.LOCKS:
+            locked = lock(host, width, seed=6)
+            keys = list(locked.key_inputs) + ["ghost_key"]
+            result = scope_attack(locked.circuit, keys, rule=rule,
+                                  use_implications=False,
+                                  power_patterns=power_patterns)
+            guesses, features = reference_scope(locked.circuit, keys, rule,
+                                                power_patterns)
+            assert result.guesses == guesses
+            assert result.features == features
+
+    def test_one_engine_per_sweep(self, host, monkeypatch):
+        """The fast path compiles the netlist once per sweep, not once
+        per pinned copy (2 x keys before)."""
+        from repro.netlist.engine import CompiledCircuit
+
+        built = []
+        init = CompiledCircuit.__init__
+
+        def counting_init(self, circuit, *args, **kwargs):
+            built.append(circuit)
+            init(self, circuit, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledCircuit, "__init__", counting_init)
+        locked = lock_sarlock(host, 8, seed=6)
+        for sweeps in (1, 2):
+            scope_attack(locked.circuit, locked.key_inputs,
+                         use_implications=False, power_patterns=16)
+            assert built == [locked.circuit] * sweeps
+        # Nothing is left cached on the netlist.
+        assert locked.circuit._compiled_cache is None

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from factories import build_random_circuit
-from repro.locking import TECHNIQUES
+from repro.locking import TECHNIQUES, LockingError
 from repro.netlist import cone
 from repro.netlist.cone import support, transitive_fanin, transitive_fanout
 from repro.netlist.gate import VARIADIC_TYPES
@@ -53,7 +53,12 @@ def _lock_and_fold(circuit, rng):
         # conventional names; locking again would collide.
         return circuit
     lock = TECHNIQUES[technique]
-    locked = lock(circuit, key_width, seed=rng.randrange(1 << 16))
+    try:
+        locked = lock(circuit, key_width, seed=rng.randrange(1 << 16))
+    except LockingError:
+        # Too few live internal wires to place the key gates (small hosts
+        # can shrink below the key width); the link is a no-op.
+        return circuit
     folded = locked.with_key(locked.correct_key)
     # Fold the key constants through and sweep the dead locking logic so
     # chained lock steps start from a clean namespace.
@@ -194,8 +199,9 @@ def test_output_list_mutation_bumps_epoch():
     assert cone.reachable_outputs(circuit, circuit.inputs[0]) == cached
 
 
-def test_scope_feature_memo_invalidated_by_mutation():
-    """A mutated circuit must never serve stale pinned features."""
+def test_scope_after_in_place_mutation_matches_fresh_copy():
+    """SCOPE on a netlist mutated in place equals SCOPE on a fresh copy:
+    nothing derived from the pre-mutation structure leaks into a sweep."""
     from repro.attacks.scope import scope_attack
 
     locked = TECHNIQUES["sarlock"](
@@ -203,22 +209,18 @@ def test_scope_feature_memo_invalidated_by_mutation():
         seed=3,
     )
     circuit = locked.circuit
-    first = scope_attack(circuit, locked.key_inputs, rule="preserve",
-                         use_implications=False, power_patterns=16)
-    assert any(k[0] == "scope_feats" for k in circuit.analysis_cache())
-    # Invert the flip XOR in place: guesses under "preserve" may change,
-    # but more importantly the memo must be dropped and recomputed.
+
+    def sweep(netlist):
+        return scope_attack(netlist, locked.key_inputs, rule="preserve",
+                            use_implications=False, power_patterns=16)
+
+    first = sweep(circuit)  # warms the topological order and fanout map
+    # Invert the flip XOR in place: guesses under "preserve" may change.
     victim = next(g.name for g in circuit.gates() if g.gtype.value == "XOR")
     gate = circuit.gate(victim)
     circuit.replace_gate(victim, "XNOR", gate.fanins)
-    assert not any(k[0] == "scope_feats" for k in circuit.analysis_cache())
-    second = scope_attack(circuit, locked.key_inputs, rule="preserve",
-                          use_implications=False, power_patterns=16)
-    previous = cone.set_cone_memo(False)
-    try:
-        fresh = scope_attack(circuit, locked.key_inputs, rule="preserve",
-                             use_implications=False, power_patterns=16)
-    finally:
-        cone.set_cone_memo(previous)
+    second = sweep(circuit)
+    fresh = sweep(circuit.copy())
     assert second.guesses == fresh.guesses
+    assert second.features == fresh.features
     assert len(first.guesses) == len(second.guesses)
