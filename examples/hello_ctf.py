@@ -17,7 +17,7 @@ from repro.attacks import Oracle, kratt_og_attack, kratt_ol_attack, score_key
 from repro.benchgen import HELLO_H, hello_locked
 from repro.synth import resynthesize
 
-SCOPE_FAST = {"use_implications": False, "power_patterns": 16}
+SCOPE_FAST = {"power_patterns": 16}
 
 
 def main():

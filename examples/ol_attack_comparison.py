@@ -16,7 +16,7 @@ from repro.benchgen import layered_circuit
 from repro.locking import TECHNIQUES
 from repro.synth import resynthesize
 
-SCOPE_FAST = {"use_implications": False, "power_patterns": 16}
+SCOPE_FAST = {"power_patterns": 16}
 
 
 def main():

@@ -3,9 +3,11 @@ Bhunia — TVLSI 2021).
 
 Paper reference [18], the prominent oracle-less baseline KRATT builds on.
 For every key input, SCOPE synthesizes the netlist twice — key bit pinned
-to 0 and to 1 — and compares synthesis features (area, logic depth, a
-switching-activity power proxy).  A significant asymmetry *deciphers* the
-bit; symmetric features leave it unresolved.
+to 0 and to 1 — and compares the two results.  The decision rests on the
+area delta alone: a difference of at least ``area_threshold`` gates
+*deciphers* the bit, a smaller one leaves it unresolved.  Logic depth and
+a switching-activity power proxy are computed too, but they only land in
+:attr:`ScopeResult.features` for inspection; they never move a guess.
 
 Two decision rules are provided, because the meaning of "more
 simplification" depends on what is being analyzed:
@@ -20,13 +22,10 @@ simplification" depends on what is being analyzed:
   correct key makes the critical signal constant — maximal constant
   propagation is the signature of correctness (paper Section III-B).
 
-The synthesis step here is constant propagation + dead-code elimination +
-a windowed SAT implication sweep, mirroring what a commercial tool's
-constant-propagation and redundancy-removal stages do.  Without the
-implication sweep (``use_implications=False``) no pinned netlist is
-built: :func:`~repro.synth.constprop.pinned_features` computes each
-pin's features from the folded fanout region, sharing one compiled
-engine per sweep.
+The synthesis step is constant propagation + dead-code elimination.  No
+pinned netlist is built: :func:`~repro.synth.constprop.pinned_features`
+computes each pin's features from the folded fanout region, sharing one
+compiled engine per sweep.
 """
 
 from __future__ import annotations
@@ -34,15 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..budget import Deadline
-from ..netlist.cone import transitive_fanout
 from ..netlist.engine import CompiledCircuit
-from ..synth.constprop import (
-    circuit_features,
-    dead_code_eliminate,
-    pinned_features,
-    propagate_constants,
-)
-from ..synth.sweep import implication_simplify, simulation_observations
+from ..synth.constprop import pinned_features
 
 __all__ = ["ScopeResult", "scope_attack"]
 
@@ -73,45 +65,11 @@ class ScopeResult:
         )
 
 
-def _swept_features(
-    circuit, key, value, window, max_conflicts, max_checks, power_patterns,
-    deadline, region,
-):
-    """Features of the pinned netlist after the SAT implication sweep."""
-    pinned, _ = propagate_constants(circuit, {key: bool(value)})
-    pinned, _ = dead_code_eliminate(pinned)
-    # The pinned copy is evaluated once or twice (observation screen +
-    # power proxy) and discarded: mark it ephemeral so its engine never
-    # spends kernel codegen or a native-backend bind on it.
-    pinned.mark_ephemeral()
-    # Top-down over the affected region: locking-unit merge points sit
-    # near the outputs and collapse first.
-    ordered = [s for s in pinned.topological_order() if s in region]
-    ordered.reverse()
-    if ordered:
-        observations = simulation_observations(pinned, patterns=96)
-        pinned, _ = implication_simplify(
-            pinned,
-            region=ordered,
-            window=window,
-            max_conflicts=max_conflicts,
-            max_checks=max_checks,
-            observations=observations,
-            time_limit=deadline,
-        )
-        pinned.mark_ephemeral()  # simplified copy is throwaway too
-    return circuit_features(pinned, power_patterns=power_patterns)
-
-
 def scope_attack(
     circuit,
     key_inputs,
     rule="preserve",
     area_threshold=1,
-    use_implications=True,
-    window=700,
-    max_conflicts=4000,
-    max_checks=24,
     power_patterns=32,
     time_limit=None,
 ):
@@ -127,7 +85,11 @@ def scope_attack(
         ``"preserve"`` or ``"collapse"`` — see module docstring.
     area_threshold:
         Minimum area asymmetry (in gates) required to commit to a guess;
-        smaller differences leave the bit undeciphered.
+        smaller differences leave the bit undeciphered.  Area is the only
+        feature the decision reads.
+    power_patterns:
+        Random patterns behind the power proxy recorded in
+        :attr:`ScopeResult.features`; it does not affect the guesses.
     time_limit:
         Wall-clock budget (float seconds or a shared
         :class:`repro.budget.Deadline`).  The per-key sweep stops once it
@@ -144,15 +106,12 @@ def scope_attack(
     features = {}
     timed_out = False
     inputs = set(circuit.inputs)
-    # The fast path evaluates the unpinned netlist once per pin: one
-    # interpreter engine serves the whole sweep and is dropped with it
-    # (kernel codegen or a native bind would not pay off over a few
-    # hundred evaluations, and caching it on a long-lived netlist would
-    # keep it alive after the sweep).
-    engine = (
-        None if use_implications
-        else CompiledCircuit(circuit, codegen=False, native=False)
-    )
+    # Each pin evaluates the unpinned netlist once: one interpreter
+    # engine serves the whole sweep and is dropped with it (kernel
+    # codegen or a native bind would not pay off over a few hundred
+    # evaluations, and caching it on a long-lived netlist would keep it
+    # alive after the sweep).
+    engine = CompiledCircuit(circuit, codegen=False, native=False)
     for key in key_inputs:
         if not timed_out and deadline.expired():
             timed_out = True
@@ -161,26 +120,16 @@ def scope_attack(
             # is not a key-bit pin): undeciphered.
             guesses[key] = None
             continue
-        if use_implications:
-            region = transitive_fanout(circuit, [key], include_sources=False)
-            feats = {
-                value: _swept_features(
-                    circuit, key, value, window, max_conflicts, max_checks,
-                    power_patterns, deadline, region,
-                )
-                for value in (0, 1)
-            }
-        else:
-            feats = {
-                value: pinned_features(
-                    circuit, {key: bool(value)}, power_patterns, engine
-                )
-                for value in (0, 1)
-            }
+        feats = {
+            value: pinned_features(
+                circuit, {key: bool(value)}, power_patterns, engine
+            )
+            for value in (0, 1)
+        }
         if deadline.expired():
-            # The deadline landed inside this key's 0-vs-1 sweep pair:
-            # the two sides got unequal probing effort, so an area
-            # comparison would be skewed — leave the bit undeciphered.
+            # The deadline landed inside this key's 0-vs-1 pair: count
+            # the key as unreached, like every key after it, so no guess
+            # rests on work done past the budget.
             timed_out = True
             guesses[key] = None
             continue

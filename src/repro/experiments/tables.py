@@ -63,7 +63,7 @@ TABLE2_TECHNIQUES = ("antisat", "sarlock", "cac", "ttlock")
 TABLE4_CIRCUITS = ("b14_C", "b15_C", "b17_C", "b20_C", "b21_C", "b22_C")
 HELLO_CIRCUITS = ("final_v1", "final_v2", "final_v3")
 
-_SCOPE_FAST = {"use_implications": False, "power_patterns": 16}
+_SCOPE_FAST = {"power_patterns": 16}
 
 #: Default overall wall-clock budget (seconds) for one KRATT run inside a
 #: table cell — the scaled stand-in for the paper's per-attack limits.

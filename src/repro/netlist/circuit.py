@@ -281,12 +281,11 @@ class Circuit:
     # ------------------------------------------------------------------
     def mark_ephemeral(self):
         """Hint that this circuit is throwaway (evaluated a handful of
-        times, then discarded — the pinned copies of SCOPE's implication
-        path are the canonical case).  Its compiled engine then skips
-        Python kernel codegen *and* native compilation outright, both of
-        which only amortize over repeated evaluation this circuit will
-        never see.  Returns
-        ``self`` for chaining.
+        times, then discarded — KRATT-OG's pinned FSC view is the
+        canonical case).  Its compiled engine then skips Python kernel
+        codegen *and* native compilation outright, both of which only
+        amortize over repeated evaluation this circuit will never see.
+        Returns ``self`` for chaining.
         """
         self._ephemeral = True
         self._compiled_cache = None

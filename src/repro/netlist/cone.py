@@ -14,8 +14,8 @@ here:
 Every primitive is **memoized per circuit**: results land in the
 circuit's :meth:`~repro.netlist.circuit.Circuit.analysis_cache`, which is
 invalidated by the same mutation epoch as the compiled-engine cache, so
-re-walking the same netlist — SCOPE pinning a key bit to 0 and then to 1,
-KRATT's removal/extraction/classification stages revisiting one USC —
+re-walking the same netlist — KRATT's removal, extraction and
+structural-analysis stages revisiting one locked netlist or USC —
 reuses the structural work.  Set-valued results are cached and returned
 as ``frozenset`` (callers treat them read-only); circuit-valued results
 are cached once and returned as cheap :meth:`Circuit.copy` clones so a

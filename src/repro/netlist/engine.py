@@ -298,9 +298,8 @@ class CompiledCircuit:
                 v[out] = acc
 
     #: Interpreted runs before kernels are exec-compiled.  Keeps one-shot
-    #: evaluations of throwaway circuits (SCOPE's implication path pins a
-    #: key bit, evaluates a couple of times, discards the netlist) off the
-    #: compile cost.
+    #: evaluations of throwaway circuits (a pinned or extracted view
+    #: evaluated a couple of times, then discarded) off the compile cost.
     _COMPILE_AFTER_RUNS = 2
 
     def run(self, values, mask):

@@ -1,4 +1,5 @@
-"""Synthesis substrate: constant propagation, rewrites, resynthesis, sweeping."""
+"""Synthesis substrate: constant propagation (the SCOPE attack's feature
+source), local rewrites and the resynthesizer that uses them."""
 
 from .constprop import (
     CircuitFeatures,
@@ -16,7 +17,6 @@ from .rewrite import (
     sweep_buffers,
     xor_decompose_sample,
 )
-from .sweep import implication_simplify, simplification_region, simulation_observations
 
 __all__ = [
     "CircuitFeatures",
@@ -31,7 +31,4 @@ __all__ = [
     "merge_inverter_pairs",
     "sweep_buffers",
     "xor_decompose_sample",
-    "implication_simplify",
-    "simplification_region",
-    "simulation_observations",
 ]

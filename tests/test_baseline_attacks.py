@@ -115,8 +115,7 @@ class TestAppSat:
 class TestScope:
     def test_sarlock_all_bits(self, host):
         locked = lock_sarlock(host, 8, seed=6)
-        result = scope_attack(locked.circuit, locked.key_inputs, rule="preserve",
-                              use_implications=False)
+        result = scope_attack(locked.circuit, locked.key_inputs, rule="preserve")
         score = score_key(locked, result.guesses)
         assert score.exact_match, score
 
@@ -127,42 +126,37 @@ class TestScope:
 
     def test_collapse_rule_inverts_decision(self, host):
         locked = lock_sarlock(host, 6, seed=6)
-        preserve = scope_attack(locked.circuit, locked.key_inputs, rule="preserve",
-                                use_implications=False)
-        collapse = scope_attack(locked.circuit, locked.key_inputs, rule="collapse",
-                                use_implications=False)
+        preserve = scope_attack(locked.circuit, locked.key_inputs, rule="preserve")
+        collapse = scope_attack(locked.circuit, locked.key_inputs, rule="collapse")
         for k in locked.key_inputs:
             if preserve.guesses[k] is not None and collapse.guesses[k] is not None:
                 assert preserve.guesses[k] != collapse.guesses[k]
 
     def test_missing_key_input_unresolved(self, host):
         locked = lock_sarlock(host, 4, seed=6)
-        result = scope_attack(locked.circuit, ["ghost_key"], use_implications=False)
+        result = scope_attack(locked.circuit, ["ghost_key"])
         assert result.guesses["ghost_key"] is None
 
     def test_gate_driven_key_unresolved(self, host):
-        # Pinning a gate's output is not a key-bit pin: neither path may
+        # Pinning a gate's output is not a key-bit pin: SCOPE may not
         # fold it (propagate_constants refuses), so the bit is undeciphered.
         locked = lock_sarlock(host, 4, seed=6)
         gate = next(iter(locked.circuit.gates())).name
-        for implications in (False, True):
-            result = scope_attack(locked.circuit, [gate, locked.key_inputs[0]],
-                                  use_implications=implications)
-            assert result.guesses[gate] is None
-            assert gate not in result.features
-            assert locked.key_inputs[0] in result.features
+        result = scope_attack(locked.circuit, [gate, locked.key_inputs[0]])
+        assert result.guesses[gate] is None
+        assert gate not in result.features
+        assert locked.key_inputs[0] in result.features
 
     def test_ttlock_partial_on_full_netlist(self, host):
         locked = lock_ttlock(host, 6, seed=6)
-        result = scope_attack(locked.circuit, locked.key_inputs, rule="preserve",
-                              use_implications=False)
+        result = scope_attack(locked.circuit, locked.key_inputs, rule="preserve")
         score = score_key(locked, result.guesses)
         assert score.dk <= score.total  # sanity: no over-reporting
 
 
 def reference_scope(circuit, key_inputs, rule, power_patterns):
-    """SCOPE's fast path spelled out with pinned netlists: one
-    propagate/DCE/features chain per key and value."""
+    """SCOPE spelled out with pinned netlists: one propagate/DCE/features
+    chain per key and value."""
     guesses, features = {}, {}
     for key in key_inputs:
         if key not in circuit.inputs:
@@ -192,7 +186,6 @@ class TestScopeFastPath:
             locked = lock(host, width, seed=6)
             keys = list(locked.key_inputs) + ["ghost_key"]
             result = scope_attack(locked.circuit, keys, rule=rule,
-                                  use_implications=False,
                                   power_patterns=power_patterns)
             guesses, features = reference_scope(locked.circuit, keys, rule,
                                                 power_patterns)
@@ -200,8 +193,8 @@ class TestScopeFastPath:
             assert result.features == features
 
     def test_one_engine_per_sweep(self, host, monkeypatch):
-        """The fast path compiles the netlist once per sweep, not once
-        per pinned copy (2 x keys before)."""
+        """SCOPE compiles the netlist once per sweep, not once per
+        pinned copy (2 x keys before)."""
         from repro.netlist.engine import CompiledCircuit
 
         built = []
@@ -214,8 +207,7 @@ class TestScopeFastPath:
         monkeypatch.setattr(CompiledCircuit, "__init__", counting_init)
         locked = lock_sarlock(host, 8, seed=6)
         for sweeps in (1, 2):
-            scope_attack(locked.circuit, locked.key_inputs,
-                         use_implications=False, power_patterns=16)
+            scope_attack(locked.circuit, locked.key_inputs, power_patterns=16)
             assert built == [locked.circuit] * sweeps
         # Nothing is left cached on the netlist.
         assert locked.circuit._compiled_cache is None

@@ -195,7 +195,7 @@ class TestAttackBudgets:
         locked = lock_ttlock(host, 8, seed=2)
         result = kratt_ol_attack(
             locked.circuit, locked.key_inputs, qbf_time_limit=2,
-            scope_kwargs={"use_implications": False, "power_patterns": 8},
+            scope_kwargs={"power_patterns": 8},
             time_limit=60.0,
         )
         assert result.time_limit == pytest.approx(60.0)
@@ -205,7 +205,7 @@ class TestAttackBudgets:
         locked = lock_ttlock(host, 8, seed=2)
         result = kratt_ol_attack(
             locked.circuit, locked.key_inputs, qbf_time_limit=2,
-            scope_kwargs={"use_implications": False, "power_patterns": 8},
+            scope_kwargs={"power_patterns": 8},
             time_limit=0,
         )
         assert result.timed_out is True

@@ -45,22 +45,38 @@ class TestLockCommand:
         assert not any(s.startswith("ttl_") for s in internals)
 
 
+def _ol_attack(host_file, tmp_path, capsys, technique, *attack_args):
+    """Lock the host with ``technique`` (8 key bits, seed 2), run the
+    oracle-less ``repro attack`` and return its summary, the found key
+    and the true key."""
+    locked_path = tmp_path / "locked.bench"
+    main(["lock", str(host_file), "-o", str(locked_path),
+          "-t", technique, "-k", "8", "--seed", "2"])
+    capsys.readouterr()  # drain the lock command's output
+    key_out = tmp_path / "found.key"
+    rc = main(["attack", str(locked_path), "--key-out", str(key_out), *attack_args])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out.split("wrote")[0])
+    found = dict(l.split("=") for l in key_out.read_text().split())
+    expected = dict(l.split("=") for l in
+                    (tmp_path / "locked.bench.key").read_text().split())
+    return summary, found, expected
+
+
 class TestAttackCommand:
     def test_ol_attack_json(self, host_file, tmp_path, capsys):
-        locked_path = tmp_path / "locked.bench"
-        main(["lock", str(host_file), "-o", str(locked_path),
-              "-t", "sarlock", "-k", "8", "--seed", "2"])
-        capsys.readouterr()  # drain the lock command's output
-        key_out = tmp_path / "found.key"
-        rc = main(["attack", str(locked_path), "--key-out", str(key_out),
-                   "--qbf-limit", "3"])
-        assert rc == 0
-        summary = json.loads(capsys.readouterr().out.split("wrote")[0])
+        summary, found, expected = _ol_attack(host_file, tmp_path, capsys,
+                                              "sarlock", "--qbf-limit", "3")
         assert summary["method"] == "qbf"
         assert summary["deciphered"] == 8
-        found = dict(l.split("=") for l in key_out.read_text().split())
-        expected = dict(l.split("=") for l in
-                        (tmp_path / "locked.bench.key").read_text().split())
+        assert found == expected
+
+    def test_ol_attack_scope_path(self, host_file, tmp_path, capsys):
+        """A DFLT lock takes the subcircuit-SCOPE path with the CLI's
+        default SCOPE settings."""
+        summary, found, expected = _ol_attack(host_file, tmp_path, capsys, "ttlock")
+        assert summary["method"] == "subcircuit-scope"
+        assert summary["deciphered"] == 8
         assert found == expected
 
     def test_og_attack(self, host_file, tmp_path, capsys):

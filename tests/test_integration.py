@@ -8,7 +8,7 @@ from repro.locking import lock_sarlock, lock_sfll_hd, lock_ttlock, lock_xor
 from repro.netlist import parse_bench, write_bench
 from repro.synth import resynthesize
 
-SCOPE_FAST = {"use_implications": False, "power_patterns": 8}
+SCOPE_FAST = {"power_patterns": 8}
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ from repro.attacks import Oracle, kratt_og_attack, kratt_ol_attack, score_key
 from repro.locking import TECHNIQUES, lock_sfll_hd
 from repro.synth import resynthesize
 
-SCOPE_FAST = {"use_implications": False, "power_patterns": 8}
+SCOPE_FAST = {"power_patterns": 8}
 
 
 @pytest.fixture(scope="module")

@@ -212,7 +212,7 @@ def test_scope_after_in_place_mutation_matches_fresh_copy():
 
     def sweep(netlist):
         return scope_attack(netlist, locked.key_inputs, rule="preserve",
-                            use_implications=False, power_patterns=16)
+                            power_patterns=16)
 
     first = sweep(circuit)  # warms the topological order and fanout map
     # Invert the flip XOR in place: guesses under "preserve" may change.
