@@ -18,17 +18,7 @@ from .prepstore import (
     prep_store,
     prep_store_info,
 )
-from .tables import (
-    TABLE1_CIRCUITS,
-    TABLE2_TECHNIQUES,
-    fig6_rows,
-    table1_rows,
-    table2_rows,
-    table3_rows,
-    table4_rows,
-    table5_rows,
-    valkyrie_rows,
-)
+from .tables import TABLE1_CIRCUITS, TABLE2_TECHNIQUES
 from .campaign import (
     ARTIFACTS,
     BACKENDS,
@@ -63,13 +53,6 @@ __all__ = [
     "clear_prep_store",
     "TABLE1_CIRCUITS",
     "TABLE2_TECHNIQUES",
-    "table1_rows",
-    "table2_rows",
-    "table3_rows",
-    "table4_rows",
-    "table5_rows",
-    "fig6_rows",
-    "valkyrie_rows",
     "ARTIFACTS",
     "BACKENDS",
     "CampaignError",

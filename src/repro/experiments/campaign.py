@@ -9,15 +9,16 @@ orchestrator:
 
 * runs the pending cells one of two ways: serially in this process
   (``workers <= 1``, no ``cell_timeout``, ``backend != "queue"`` — what
-  the unit-timed benchmark scripts and most tests use), or through the
+  the paper-table tests and most other tests use), or through the
   durable work queue drained by a local fleet of ``workers`` processes
   (:mod:`repro.experiments.worker`) for everything else;
 * persists every finished cell as one JSON record under
   ``<results_root>/<name>/cells/``, so an interrupted or killed campaign
   resumes by running only the missing cells;
 * aggregates the completed grid back into the paper-style tables through
-  the same ``aggregate`` functions the serial row builders use — the
-  parallel path is bit-identical to the serial one by construction;
+  each artifact's ``aggregate`` function over the cells in expansion
+  order — the parallel path is bit-identical to the serial one by
+  construction;
 * enforces ``cell_timeout`` as a **hard** limit: queue workers run each
   cell in its own killable child process, a cell exceeding the budget is
   terminated (SIGTERM, then SIGKILL) and persisted as a
@@ -80,7 +81,8 @@ __all__ = [
 #: means "serial unless ``workers > 1`` or ``cell_timeout``".
 BACKENDS = ("pool", "queue")
 
-#: Default landing zone for campaign results, next to the bench outputs.
+#: Default landing zone for campaign results, next to the tracked Table I
+#: reference output.
 DEFAULT_RESULTS_ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))),
@@ -143,8 +145,8 @@ def _selftest_aggregate(results, options):
     return _SELFTEST_HEADER, [tuple(r["row"]) for r in results]
 
 
-#: Registry of runnable artifacts; every entry reuses the exact cell
-#: functions behind the serial ``tableN_rows`` builders.
+#: Registry of runnable artifacts: the expand/cell/aggregate triple of
+#: every paper table and figure in :mod:`repro.experiments.tables`.
 ARTIFACTS = {
     "table1": Artifact(
         "table1", "Table I: benchmark circuit details",
@@ -335,8 +337,9 @@ class CampaignResult:
         """``(header, rows)`` of one artifact, or raise with cell tracebacks.
 
         The worker path captures per-cell exceptions into ``errors``;
-        callers that want serial-style fail-loud semantics (the bench
-        scripts) go through here so the original tracebacks surface.
+        callers that want serial-style fail-loud semantics (the
+        paper-table tests) go through here so the original tracebacks
+        surface.
         """
         if self.errors:
             details = "\n\n".join(

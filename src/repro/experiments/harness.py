@@ -1,8 +1,7 @@
 """Shared experiment harness: locked-circuit preparation and table output.
 
-Every benchmark in ``benchmarks/`` regenerates one paper artifact (table
-or figure) through the row-builder functions in
-:mod:`repro.experiments.tables`; this module holds the common machinery —
+Every campaign cell (:mod:`repro.experiments.tables`) regenerates its
+piece of a paper artifact on top of this module's common machinery —
 deterministic preparation of (host, locked, resynthesized) triples,
 wall-clock measurement, and paper-style row formatting.
 """

@@ -11,11 +11,9 @@ by three functions sharing one ``options`` dict:
   in expansion order, into ``(header, rows)`` for
   :func:`repro.experiments.harness.format_table`.
 
-The classic serial entry points (``table1_rows`` ...) are thin
-expand→cell→aggregate loops, so the campaign orchestrator
-(:mod:`repro.experiments.campaign`) — which runs the same cells serially
-or on queue workers and persists them per cell — produces bit-identical
-tables by construction.
+The campaign orchestrator (:mod:`repro.experiments.campaign`) is the
+one way to run them: it expands the grid, runs the cells serially or on
+queue workers, persists each cell, and aggregates the table.
 
 All attacks see only the *resynthesized* locked netlist and the key-input
 names (plus an oracle in OG experiments), never the ground truth.
@@ -48,14 +46,6 @@ __all__ = [
     "TABLE4_CIRCUITS",
     "HELLO_CIRCUITS",
     "ATTACK_NAMES",
-    "table1_rows",
-    "table2_rows",
-    "table3_rows",
-    "table4_rows",
-    "table5_rows",
-    "fig6_rows",
-    "valkyrie_rows",
-    "attack_rows",
 ]
 
 TABLE1_CIRCUITS = ("c2670", "c5315", "c6288", "b14_C", "b15_C", "b20_C")
@@ -86,10 +76,6 @@ def _store_opt(options):
     else keeps the env-configured default.
     """
     return False if _opt(options, "prep_store", True) is False else None
-
-
-def _serial_rows(expand, cell, aggregate, options):
-    return aggregate([cell(c, options) for c in expand(options)], options)
 
 
 # ----------------------------------------------------------------------
@@ -129,13 +115,6 @@ def table1_cell(cell, options):
 
 def table1_aggregate(results, options):
     return TABLE1_HEADER, [tuple(r["row"]) for r in results]
-
-
-def table1_rows(scale=None):
-    """Table I: benchmark details (published vs generated stand-ins)."""
-    return _serial_rows(
-        table1_expand, table1_cell, table1_aggregate, {"scale": scale}
-    )
 
 
 # ----------------------------------------------------------------------
@@ -195,18 +174,6 @@ def table2_aggregate(results, options):
     return TABLE2_HEADER, [tuple(r["row"]) for r in results]
 
 
-def table2_rows(scale=None, circuits=TABLE1_CIRCUITS, techniques=TABLE2_TECHNIQUES,
-                qbf_time_limit=3.0, ol_time_limit=DEFAULT_OL_TIME_LIMIT):
-    """Table II: OL attacks (SCOPE vs KRATT) on the ISCAS/ITC circuits."""
-    return _serial_rows(table2_expand, table2_cell, table2_aggregate, {
-        "scale": scale,
-        "circuits": circuits,
-        "techniques": techniques,
-        "qbf_time_limit": qbf_time_limit,
-        "ol_time_limit": ol_time_limit,
-    })
-
-
 # ----------------------------------------------------------------------
 # Table III: OG attacks (SAT / DDIP / AppSAT / KRATT).
 # ----------------------------------------------------------------------
@@ -225,6 +192,9 @@ def table3_expand(options):
 
 
 def table3_cell(cell, options):
+    """``baseline_time_limit`` is the scaled stand-in for the paper's
+    2-day limit; baselines hitting it report OoT, as in the paper.
+    ``og_time_limit`` bounds each KRATT-OG run the same way."""
     circuit_name, technique = cell["circuit"], cell["technique"]
     scale = _opt(options, "scale", None)
     baseline_time_limit = _opt(options, "baseline_time_limit", 15.0)
@@ -262,25 +232,6 @@ def table3_cell(cell, options):
 
 def table3_aggregate(results, options):
     return TABLE3_HEADER, [tuple(r["row"]) for r in results]
-
-
-def table3_rows(scale=None, circuits=TABLE1_CIRCUITS, techniques=TABLE2_TECHNIQUES,
-                baseline_time_limit=15.0, qbf_time_limit=3.0,
-                og_time_limit=DEFAULT_OG_TIME_LIMIT):
-    """Table III: OG attacks (SAT / DDIP / AppSAT / KRATT).
-
-    ``baseline_time_limit`` is the scaled stand-in for the paper's 2-day
-    limit; baselines hitting it report OoT, as in the paper.
-    ``og_time_limit`` bounds each KRATT-OG run the same way.
-    """
-    return _serial_rows(table3_expand, table3_cell, table3_aggregate, {
-        "scale": scale,
-        "circuits": circuits,
-        "techniques": techniques,
-        "baseline_time_limit": baseline_time_limit,
-        "qbf_time_limit": qbf_time_limit,
-        "og_time_limit": og_time_limit,
-    })
 
 
 # ----------------------------------------------------------------------
@@ -329,17 +280,6 @@ def table4_cell(cell, options):
 
 def table4_aggregate(results, options):
     return TABLE4_HEADER, [tuple(r["row"]) for r in results]
-
-
-def table4_rows(scale=None, circuits=TABLE4_CIRCUITS, qbf_time_limit=3.0,
-                ol_time_limit=DEFAULT_OL_TIME_LIMIT):
-    """Table IV: OL attacks on Gen-Anti-SAT locked ITC'99 circuits."""
-    return _serial_rows(table4_expand, table4_cell, table4_aggregate, {
-        "scale": scale,
-        "circuits": circuits,
-        "qbf_time_limit": qbf_time_limit,
-        "ol_time_limit": ol_time_limit,
-    })
 
 
 # ----------------------------------------------------------------------
@@ -414,19 +354,6 @@ def table5_aggregate(results, options):
     return TABLE5_HEADER, [tuple(r["row"]) for r in results]
 
 
-def table5_rows(scale=None, baseline_time_limit=30.0, qbf_time_limit=3.0,
-                ol_time_limit=DEFAULT_OL_TIME_LIMIT,
-                og_time_limit=DEFAULT_OG_TIME_LIMIT):
-    """Table V: HeLLO: CTF'22 circuits — details plus OL and OG attacks."""
-    return _serial_rows(table5_expand, table5_cell, table5_aggregate, {
-        "scale": scale,
-        "baseline_time_limit": baseline_time_limit,
-        "qbf_time_limit": qbf_time_limit,
-        "ol_time_limit": ol_time_limit,
-        "og_time_limit": og_time_limit,
-    })
-
-
 # ----------------------------------------------------------------------
 # Fig. 6: impact of resynthesis on KRATT's run-time (c6288 hosts).
 # ----------------------------------------------------------------------
@@ -444,6 +371,8 @@ def fig6_expand(options):
 
 
 def fig6_cell(cell, options):
+    """KRATT-OG on one seeded resynthesis variant (effort and delay
+    constraint) of the locked c6288 host."""
     technique, v = cell["technique"], cell["variant"]
     scale = _opt(options, "scale", None)
     qbf_time_limit = _opt(options, "qbf_time_limit", 3.0)
@@ -491,24 +420,6 @@ def fig6_aggregate(results, options):
     return FIG6_HEADER, rows + summary_rows
 
 
-def fig6_rows(scale=None, variants=10, techniques=TABLE2_TECHNIQUES,
-              qbf_time_limit=3.0, og_time_limit=DEFAULT_OG_TIME_LIMIT):
-    """Fig. 6: impact of resynthesis on KRATT's run-time (c6288 hosts).
-
-    Locks c6288 with each technique, produces ``variants`` functionally
-    equivalent but structurally different netlists (seeded efforts and
-    delay constraints), runs KRATT on each, and reports the run-time
-    series plus the paper's summary statistics (mean, stddev, max/min).
-    """
-    return _serial_rows(fig6_expand, fig6_cell, fig6_aggregate, {
-        "scale": scale,
-        "variants": variants,
-        "techniques": techniques,
-        "qbf_time_limit": qbf_time_limit,
-        "og_time_limit": og_time_limit,
-    })
-
-
 # ----------------------------------------------------------------------
 # Valkyrie-repository-style census (Section IV, second experiment).
 # ----------------------------------------------------------------------
@@ -530,6 +441,9 @@ def valkyrie_expand(options):
 
 
 def valkyrie_cell(cell, options):
+    """Break one locked instance: KRATT-OL on SFLTs (the QBF witness),
+    KRATT-OG on DFLTs (structural analysis), as in the paper's
+    720-circuit census at reproduction scale."""
     circuit_name = cell["circuit"]
     technique = cell["technique"]
     synth_seed = cell["synth_seed"]
@@ -580,27 +494,6 @@ def valkyrie_aggregate(results, options):
                  f"structural={counts['structural']}",
                  f"other={counts['other']}", ""))
     return VALKYRIE_HEADER, rows
-
-
-def valkyrie_rows(scale=None, synth_seeds=(1, 2), qbf_time_limit=3.0,
-                  circuits=VALKYRIE_CIRCUITS, key_widths=(None,),
-                  ol_time_limit=DEFAULT_OL_TIME_LIMIT,
-                  og_time_limit=DEFAULT_OG_TIME_LIMIT):
-    """Valkyrie-repository-style census (Section IV, second experiment).
-
-    Sweeps SFLTs and DFLTs over hosts and synthesis seeds; reports how
-    each locked instance was broken (QBF witness for SFLTs, structural
-    analysis for DFLTs) mirroring the paper's 720-circuit census at
-    reproduction scale.
-    """
-    return _serial_rows(valkyrie_expand, valkyrie_cell, valkyrie_aggregate, {
-        "scale": scale,
-        "synth_seeds": synth_seeds,
-        "qbf_time_limit": qbf_time_limit,
-        "circuits": circuits,
-        "ol_time_limit": ol_time_limit,
-        "og_time_limit": og_time_limit,
-    })
 
 
 # ----------------------------------------------------------------------
@@ -724,8 +617,3 @@ def attack_aggregate(results, options):
         for r in results
     ]
     return ATTACK_HEADER, rows
-
-
-def attack_rows(**options):
-    """Single-attack grid, serially (see ``attack_expand`` for options)."""
-    return _serial_rows(attack_expand, attack_cell, attack_aggregate, options)

@@ -37,8 +37,8 @@ boundary once per output instead of once per output per chunk.
 Inverting opcodes use plain ``~`` instead of the Python kernels'
 ``mask ^`` — bits above the simulation width carry garbage inside the
 buffer and are stripped when results are unpacked, so both backends are
-bit-identical on every masked bit (enforced by the differential suite
-and the ``native_eval`` bench gate).
+bit-identical on every masked bit (enforced by the tier-1 differential
+tests in ``tests/test_differential.py`` and ``tests/test_native.py``).
 
 Caching and publication
 -----------------------

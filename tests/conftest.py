@@ -1,8 +1,7 @@
 """Shared test fixtures: seeded random hosts and helpers.
 
 The circuit factories live in :mod:`factories` (same directory) so test
-modules can import them without relying on the ``conftest`` module name,
-which ``benchmarks/conftest.py`` would shadow in a combined run.
+modules import them as a plain module rather than through ``conftest``.
 """
 
 import atexit

@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro.cli import main as cli_main
-from repro.experiments import table1_rows
 from repro.experiments.campaign import (
     ARTIFACTS,
     CampaignError,
@@ -29,6 +28,13 @@ from repro.experiments.campaign import (
 
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _serial_table1():
+    """Table I computed straight from its artifact's cell functions."""
+    artifact, options = ARTIFACTS["table1"], {"scale": "tiny"}
+    results = [artifact.cell(c, options) for c in artifact.expand(options)]
+    return artifact.aggregate(results, options)
 
 
 def _records(cells_dir):
@@ -126,7 +132,7 @@ class TestRun:
         outcome = run_campaign(spec)
         assert outcome.complete
         assert outcome.ran == 6 and outcome.errors == []
-        assert outcome.tables["table1"] == table1_rows(scale="tiny")
+        assert outcome.tables["table1"] == _serial_table1()
 
     def test_resume_completes_only_missing_cells(self, tmp_path):
         spec = _spec(tmp_path)
@@ -148,7 +154,7 @@ class TestRun:
             assert os.stat(os.path.join(spec.cells_dir, f)).st_mtime_ns == mtime, (
                 "resume must not recompute finished cells"
             )
-        assert full.tables["table1"] == table1_rows(scale="tiny")
+        assert full.tables["table1"] == _serial_table1()
 
     def test_corrupt_cell_record_is_recomputed(self, tmp_path):
         spec = _spec(tmp_path)
@@ -337,7 +343,7 @@ class TestHardTimeout:
         spec.cell_timeout = 300.0
         outcome = run_campaign(spec)
         assert outcome.complete and outcome.timeouts == []
-        assert outcome.tables["table1"] == table1_rows(scale="tiny")
+        assert outcome.tables["table1"] == _serial_table1()
 
 
 class TestStatusAndReport:

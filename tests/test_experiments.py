@@ -1,6 +1,4 @@
-"""Tests for the experiment harness and table row builders (tiny slices)."""
-
-import pytest
+"""Tests for the experiment harness: preparation, its caches, formatting."""
 
 from repro.experiments import (
     PrepCache,
@@ -8,8 +6,6 @@ from repro.experiments import (
     format_table,
     prep_cache_info,
     prepare_locked,
-    table1_rows,
-    table2_rows,
 )
 from repro.experiments.harness import _prep_key
 
@@ -96,22 +92,3 @@ class TestPrepCache:
         )
         assert cache.get("parent") is None
         assert len(cache) == 0
-
-
-class TestRows:
-    def test_table1(self):
-        header, rows = table1_rows(scale="tiny")
-        assert len(rows) == 6
-        assert len(header) == len(rows[0])
-
-    def test_table2_slice(self):
-        header, rows = table2_rows(
-            scale="tiny", circuits=("c6288",), techniques=("sarlock",),
-            qbf_time_limit=1.0,
-        )
-        assert len(rows) == 1
-        circuit, technique, scope_acc, _, kratt_acc, _, method = rows[0]
-        assert technique == "sarlock"
-        assert method == "qbf"
-        cdk, dk = kratt_acc.split("/")
-        assert cdk == dk
