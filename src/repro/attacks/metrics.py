@@ -19,9 +19,9 @@ key inputs (Tables II, IV, V) — and whether the secret key was found
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 
+from ..budget import Deadline
 from ..netlist.simulate import random_patterns
 from ..netlist.verify import check_equivalent
 
@@ -207,23 +207,25 @@ def complete_partial_key(
 
     Returns ``(key, attempts)`` with a proven-functional complete key, or
     ``(None, attempts)``.  Refuses when more than ``max_missing`` bits are
-    undecided.
+    undecided.  ``time_limit`` (float seconds or a
+    :class:`repro.budget.Deadline`) bounds the whole search: every
+    candidate's proof draws on the same deadline.
     """
     names = list(locked.key_inputs)
     decided = {k: v for k, v in (guess or {}).items() if v is not None}
     missing = [k for k in names if k not in decided]
     if len(missing) > max_missing:
         return None, 0
-    start = time.monotonic()
+    deadline = Deadline.of(time_limit)
     attempts = 0
     for value in range(1 << len(missing)):
         candidate = dict(decided)
         for i, k in enumerate(missing):
             candidate[k] = bool((value >> i) & 1)
         attempts += 1
-        verdict = _is_functional(locked, candidate, max_conflicts, time_limit)
+        verdict = _is_functional(locked, candidate, max_conflicts, deadline)
         if verdict is True:
             return candidate, attempts
-        if time.monotonic() - start > time_limit:
+        if deadline.expired():
             break
     return None, attempts

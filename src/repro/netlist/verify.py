@@ -3,13 +3,21 @@
 Used throughout the reproduction: the resynthesis engine proves its
 rewrites function-preserving, locking tests prove correct-key equivalence,
 and KRATT verifies recovered keys.
+
+A miter compares only the outputs the two circuits do not structurally
+share, and encodes only the fan-in cones of those outputs.  Both
+reductions are exact: ``XOR(s, s)`` is constant 0, and the Tseitin
+clauses of a gate outside every compared cone are satisfiable for any
+input.  A key proof against a locked netlist therefore reduces to the
+outputs the locking logic drives, however large the host.
 """
 
 from __future__ import annotations
 
 from ..budget import Deadline
 from .circuit import Circuit
-from .gate import GateType
+from .cone import transitive_fanin
+from .gate import Gate, GateType
 
 
 def _sat_tools():
@@ -27,10 +35,10 @@ __all__ = ["build_miter", "check_equivalent", "prove_signal_constant"]
 def _structurally_shared(circ_a, circ_b):
     """Signals with identical definitions (recursively) in both circuits.
 
-    Locked circuits embed the host netlist verbatim, so sharing these
-    cones instead of duplicating them turns the equivalence proof into a
-    proof about the (small) locking logic only — the poor man's SAT
-    sweeping, and the reason key verification stays fast on large hosts.
+    Locked circuits embed the host netlist verbatim.  A shared signal is
+    one signal in the miter, so a shared output needs no comparison and
+    a differing output's cone stops at the shared signals it reads: the
+    proof is about the (small) locking logic only.
     """
     shared = set()
     for sig in circ_a.topological_order():
@@ -49,10 +57,16 @@ def build_miter(circ_a, circ_b, name="miter", share_common=True):
     """Build a miter circuit: output 1 iff the two circuits differ.
 
     Both circuits must have identical input sets and identical output
-    lists.  Inputs are shared (as are structurally identical internal
-    cones when ``share_common`` is set); remaining internal signals are
-    prefixed to avoid collisions; each output pair is XORed and the XORs
-    are ORed into the single output ``miter_out``.
+    lists.  Every input is kept on the miter's interface.  With
+    ``share_common`` the structurally identical signals are shared and
+    unprefixed, and shared outputs are not compared; without it only
+    the inputs are shared and every output pair is compared.  Only the
+    gates in the compared outputs' fan-in cones are copied in, in each
+    circuit's own gate order so that the CNF does not depend on hash
+    order; unshared signals are prefixed ``A$``/``B$``.
+    Each compared pair is XORed into ``diff$<output>`` and the XORs are
+    ORed into the single output ``miter_out``, which is ``CONST0`` when
+    no output is compared.
     """
     if set(circ_a.inputs) != set(circ_b.inputs):
         raise ValueError("miter requires identical input interfaces")
@@ -62,26 +76,41 @@ def build_miter(circ_a, circ_b, name="miter", share_common=True):
     shared = set(circ_a.inputs)
     if share_common:
         shared |= _structurally_shared(circ_a, circ_b)
-    copy_a = circ_a.with_prefix("A$", keep=shared)
-    copy_b = circ_b.with_prefix("B$", keep=shared)
+        compared = [out for out in circ_a.outputs if out not in shared]
+    else:
+        compared = list(circ_a.outputs)
+    cone_a = transitive_fanin(circ_a, compared)
+    cone_b = transitive_fanin(circ_b, compared)
+
+    def local(prefix, sig):
+        return sig if sig in shared else prefix + sig
 
     miter = Circuit(name)
+
+    def copy_gate(prefix, gate):
+        sig = local(prefix, gate.name)
+        fanins = tuple(local(prefix, s) for s in gate.fanins)
+        miter._gates[sig] = Gate(sig, gate.gtype, fanins)
+
     for sig in circ_a.inputs:
         miter.add_input(sig)
-    for src in (copy_a, copy_b):
-        for gate in src.gates():
-            miter._gates[gate.name] = gate
+    for gate in circ_a.gates():
+        if gate.name in cone_a or (gate.name in shared and gate.name in cone_b):
+            copy_gate("A$", gate)
+    for gate in circ_b.gates():
+        if gate.name in cone_b and gate.name not in shared:
+            copy_gate("B$", gate)
     miter._invalidate()
 
     diff_signals = []
-    for out in circ_a.outputs:
+    for out in compared:
         diff = f"diff${out}"
-        a_sig = "A$" + out if out not in shared else out
-        b_sig = "B$" + out if out not in shared else out
-        miter.add_gate(diff, GateType.XOR, (a_sig, b_sig))
+        miter.add_gate(diff, GateType.XOR, (local("A$", out), local("B$", out)))
         diff_signals.append(diff)
 
-    if len(diff_signals) == 1:
+    if not diff_signals:
+        miter.add_gate("miter_out", GateType.CONST0, ())
+    elif len(diff_signals) == 1:
         miter.add_gate("miter_out", GateType.BUF, (diff_signals[0],))
     else:
         miter.add_gate("miter_out", GateType.OR, tuple(diff_signals))
@@ -99,8 +128,9 @@ def check_equivalent(
     (proven equivalent), ``False`` (differ; counterexample is an input
     assignment exposing the difference), or ``None`` (budget exhausted).
 
-    ``assumptions`` optionally pins shared inputs (dict name -> bool), to
-    check equivalence under a fixed key, for example.  ``time_limit``
+    ``assumptions`` optionally pins inputs (dict name -> bool), to check
+    equivalence under a fixed key, for example; any input may be pinned,
+    whether or not a compared output reads it.  ``time_limit``
     accepts float seconds or a shared :class:`repro.budget.Deadline`; an
     already expired deadline returns ``(None, None)`` before the miter
     is even built.

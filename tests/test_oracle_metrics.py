@@ -1,9 +1,12 @@
 """Tests for the oracle and the scoring layer."""
 
+import time
+
 import pytest
 
 from factories import build_random_circuit
-from repro.attacks import Oracle, complete_partial_key, score_key
+from repro.attacks import Oracle, complete_partial_key, metrics, score_key
+from repro.budget import Deadline
 from repro.locking import lock_sarlock, lock_antisat
 
 
@@ -91,3 +94,41 @@ class TestCompletePartialKey:
         locked = lock_sarlock(host, 6, seed=2)
         key, attempts = complete_partial_key(locked, {}, max_missing=2)
         assert key is None and attempts == 0
+
+    def test_accepts_a_deadline(self, host):
+        # Both dropped bits are 1, so candidates are refuted before the
+        # correct completion is found.
+        locked = lock_sarlock(host, 6, seed=2)
+        dropped = locked.key_inputs[:2]
+        assert all(locked.correct_key[k] for k in dropped)
+        partial = {k: v for k, v in locked.correct_key.items() if k not in dropped}
+        key, attempts = complete_partial_key(
+            locked, partial, max_missing=2, time_limit=Deadline(30.0)
+        )
+        assert key == locked.correct_key and attempts == 4
+
+    def test_float_limit_bounds_the_whole_search(self, host, monkeypatch):
+        # Every candidate reaches a proof that runs out whatever budget it
+        # is handed (up to 0.1 s): no proof may be handed more time than
+        # is left of the search's own limit.
+        limit = 0.25
+        grants = []
+
+        def proof_out_of_time(a, b, max_conflicts=None, time_limit=None):
+            remaining = Deadline.of(time_limit).remaining()
+            grants.append((time.monotonic(), remaining))
+            time.sleep(min(0.1, remaining))
+            return None, None
+
+        monkeypatch.setattr(metrics, "_random_refutes", lambda *a, **k: False)
+        monkeypatch.setattr(metrics, "check_equivalent", proof_out_of_time)
+        locked = lock_sarlock(host, 6, seed=2)
+        partial = {k: v for k, v in locked.correct_key.items()
+                   if k not in locked.key_inputs[:3]}
+        start = time.monotonic()
+        key, attempts = complete_partial_key(
+            locked, partial, max_missing=3, time_limit=limit
+        )
+        assert key is None and 1 <= attempts < 8
+        for called_at, remaining in grants:
+            assert called_at - start + remaining <= limit + 0.02

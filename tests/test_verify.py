@@ -3,7 +3,10 @@
 import pytest
 
 from factories import build_random_circuit
-from repro.netlist import build_miter, check_equivalent, prove_signal_constant
+from repro.locking import lock_genantisat
+from repro.netlist import Circuit, build_miter, check_equivalent, prove_signal_constant
+from repro.netlist.cone import transitive_fanin
+from repro.netlist.gate import GateType
 
 
 class TestMiter:
@@ -16,6 +19,68 @@ class TestMiter:
         other = build_random_circuit(n_inputs=3, n_gates=5, n_outputs=1, seed=9)
         with pytest.raises(ValueError):
             build_miter(majority_circuit, other)
+
+
+def _diff_gates(miter):
+    return {g.name for g in miter.gates() if g.name.startswith("diff$")}
+
+
+class TestMiterReduction:
+    """Shared outputs are not compared; only differing cones are encoded."""
+
+    @pytest.fixture
+    def host(self):
+        return build_random_circuit(n_inputs=8, n_gates=40, n_outputs=4, seed=11)
+
+    def test_identical_circuits_compare_nothing(self, host):
+        miter = build_miter(host, host.copy())
+        assert not _diff_gates(miter)
+        assert miter.gate("miter_out").gtype is GateType.CONST0
+        assert miter.num_gates == 1
+        assert set(miter.inputs) == set(host.inputs)
+        assert check_equivalent(host, host.copy()) == (True, None)
+        # The reference miter still compares every output pair.
+        full = build_miter(host, host.copy(), share_common=False)
+        assert _diff_gates(full) == {f"diff${o}" for o in host.outputs}
+
+    def test_alternative_key_compares_only_the_locked_outputs(self, host):
+        locked = lock_genantisat(host, 8, seed=3)
+        keyed = locked.with_key({k: not v for k, v in locked.correct_key.items()})
+        keys = set(locked.key_inputs)
+        driven = [o for o in host.outputs
+                  if keys & transitive_fanin(locked.circuit, [o])]
+        assert 0 < len(driven) < len(host.outputs)
+        miter = build_miter(host, keyed)
+        diffs = _diff_gates(miter)
+        assert diffs == {f"diff${o}" for o in driven}
+        cones = transitive_fanin(host, driven) | transitive_fanin(keyed, driven)
+        for gate in miter.gates():
+            if gate.name in diffs or gate.name == "miter_out":
+                continue
+            name = gate.name[2:] if gate.name[:2] in ("A$", "B$") else gate.name
+            assert name in cones, gate.name
+        assert check_equivalent(host, keyed) == (True, None)
+
+    def test_assumption_outside_the_compared_cones(self):
+        circ = Circuit("two_cones")
+        for name in ("x0", "x1", "x2", "x3"):
+            circ.add_input(name)
+        circ.add_gate("o1", "AND", ("x0", "x1"))
+        circ.add_gate("o2", "XOR", ("x2", "x3"))
+        circ.set_outputs(["o1", "o2"])
+        other = circ.copy("other")
+        other.replace_gate("o2", "OR", ("x2", "x3"))
+        miter = build_miter(circ, other)
+        assert not any("x0" in g.fanins for g in miter.gates())
+        free, _ = check_equivalent(circ, other)
+        pinned, cex = check_equivalent(circ, other, assumptions={"x0": True})
+        assert free is pinned is False
+        assert cex["x0"] is True
+        pattern = {k: int(v) for k, v in cex.items()}
+        assert circ.output_vector(pattern) != other.output_vector(pattern)
+        assert check_equivalent(
+            circ, circ.copy(), assumptions={"x0": False}
+        ) == (True, None)
 
 
 class TestEquivalence:
