@@ -17,8 +17,6 @@ from repro.attacks import Oracle, kratt_og_attack, kratt_ol_attack, score_key
 from repro.benchgen import HELLO_H, hello_locked
 from repro.synth import resynthesize
 
-SCOPE_FAST = {"power_patterns": 16}
-
 
 def main():
     scale = os.environ.get("REPRO_SCALE", "tiny")
@@ -29,8 +27,7 @@ def main():
         print(f"{name}: {netlist.num_gates} gates, {locked.key_width} keys, "
               f"h={HELLO_H[name]}")
 
-        ol = kratt_ol_attack(netlist, locked.key_inputs, qbf_time_limit=2,
-                             scope_kwargs=SCOPE_FAST)
+        ol = kratt_ol_attack(netlist, locked.key_inputs, qbf_time_limit=2)
         s_ol = score_key(locked, ol.key)
         print(f"  OL: {s_ol.as_row()} deciphered in {ol.elapsed:.2f}s")
 

@@ -16,8 +16,6 @@ from repro.benchgen import layered_circuit
 from repro.locking import TECHNIQUES
 from repro.synth import resynthesize
 
-SCOPE_FAST = {"power_patterns": 16}
-
 
 def main():
     host = layered_circuit("demo", 48, 12, 420, seed=2)
@@ -29,11 +27,10 @@ def main():
         locked = TECHNIQUES[technique](host, 12, seed=4)
         netlist = resynthesize(locked.circuit, seed=6, effort=2)
 
-        scope = scope_attack(netlist, locked.key_inputs, rule="preserve", **SCOPE_FAST)
+        scope = scope_attack(netlist, locked.key_inputs, rule="preserve")
         s_scope = score_key(locked, scope.guesses)
 
-        result = kratt_ol_attack(netlist, locked.key_inputs, qbf_time_limit=3,
-                                 scope_kwargs=SCOPE_FAST)
+        result = kratt_ol_attack(netlist, locked.key_inputs, qbf_time_limit=3)
         s_kratt = score_key(locked, result.key)
 
         print(f"{technique:12s} {s_scope.as_row():>10s} {s_kratt.as_row():>10s}  "

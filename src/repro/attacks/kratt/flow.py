@@ -84,7 +84,10 @@ def kratt_ol_attack(
     ``time_limit`` bounds the whole attack (QBF *and* the SCOPE stages,
     which can dominate runtime on the ambiguous/DFLT paths); every
     returned :class:`AttackResult` carries ``time_limit``/``timed_out``
-    computed from that one deadline.
+    computed from that one deadline.  ``scope_kwargs`` go to
+    :func:`~repro.attacks.scope.scope_attack`; a ``time_limit`` among
+    them (float seconds) caps the SCOPE stage like ``qbf_time_limit``
+    caps QBF, and never extends the overall deadline.
 
     Returns an :class:`AttackResult`; ``result.key`` maps every key input
     to True/False/None (None = undeciphered).  ``details["method"]`` is
@@ -93,8 +96,9 @@ def kratt_ol_attack(
     deadline = Deadline.of(time_limit)
     start = deadline.now()
     scope_kwargs = dict(scope_kwargs or {})
-    # The overall deadline bounds SCOPE unless the caller pinned its own.
-    scope_kwargs.setdefault("time_limit", deadline)
+    # A caller's SCOPE limit caps the stage inside the overall deadline,
+    # taken when SCOPE starts, like the QBF cap.
+    scope_limit = scope_kwargs.pop("time_limit", None)
 
     try:
         extraction, outcome = _removal_and_qbf(
@@ -125,6 +129,7 @@ def kratt_ol_attack(
             unit,
             [k for k in extraction.key_inputs if k in unit],
             rule="collapse",
+            time_limit=deadline.sub(scope_limit),
             **scope_kwargs,
         )
         key = {k: scope.guesses.get(k) for k in key_inputs}
@@ -153,7 +158,13 @@ def kratt_ol_attack(
     modified, present_keys = modified_dflt_subcircuit(
         extraction, off_value=classification.off_value
     )
-    scope = scope_attack(modified, list(present_keys), rule="preserve", **scope_kwargs)
+    scope = scope_attack(
+        modified,
+        list(present_keys),
+        rule="preserve",
+        time_limit=deadline.sub(scope_limit),
+        **scope_kwargs,
+    )
     key = {k: scope.guesses.get(k) for k in key_inputs}
     deciphered = sum(1 for v in key.values() if v is not None)
     return AttackResult(

@@ -53,7 +53,8 @@ TABLE2_TECHNIQUES = ("antisat", "sarlock", "cac", "ttlock")
 TABLE4_CIRCUITS = ("b14_C", "b15_C", "b17_C", "b20_C", "b21_C", "b22_C")
 HELLO_CIRCUITS = ("final_v1", "final_v2", "final_v3")
 
-_SCOPE_FAST = {"power_patterns": 16}
+# Read by perfbench/workloads.py as its SCOPE keyword arguments.
+_SCOPE_FAST = {}
 
 #: Default overall wall-clock budget (seconds) for one KRATT run inside a
 #: table cell — the scaled stand-in for the paper's per-attack limits.
@@ -150,14 +151,13 @@ def table2_cell(cell, options):
     with Timer() as t_scope:
         scope = scope_attack(
             prep.netlist, prep.locked.key_inputs, rule="preserve",
-            time_limit=ol_time_limit, **_SCOPE_FAST,
+            time_limit=ol_time_limit,
         )
     scope_cell = _ol_cell(prep.locked, scope.guesses, t_scope.elapsed)
     with Timer() as t_kratt:
         result = kratt_ol_attack(
             prep.netlist, prep.locked.key_inputs,
             qbf_time_limit=qbf_time_limit,
-            scope_kwargs=_SCOPE_FAST,
             technique=technique,
             time_limit=ol_time_limit,
         )
@@ -259,13 +259,13 @@ def table4_cell(cell, options):
     with Timer() as t_scope:
         scope = scope_attack(
             prep.netlist, prep.locked.key_inputs, rule="preserve",
-            time_limit=ol_time_limit, **_SCOPE_FAST,
+            time_limit=ol_time_limit,
         )
     scope_cell = _ol_cell(prep.locked, scope.guesses, t_scope.elapsed)
     with Timer() as t_kratt:
         result = kratt_ol_attack(
             prep.netlist, prep.locked.key_inputs,
-            qbf_time_limit=qbf_time_limit, scope_kwargs=_SCOPE_FAST,
+            qbf_time_limit=qbf_time_limit,
             technique="genantisat",
             time_limit=ol_time_limit,
         )
@@ -307,11 +307,11 @@ def table5_cell(cell, options):
     netlist = resynthesize(locked.circuit, seed=1, effort=2)
     with Timer() as t_scope:
         scope = scope_attack(netlist, locked.key_inputs, rule="preserve",
-                             time_limit=ol_time_limit, **_SCOPE_FAST)
+                             time_limit=ol_time_limit)
     scope_score = score_key(locked, scope.guesses)
     result_ol = kratt_ol_attack(
         netlist, locked.key_inputs, qbf_time_limit=qbf_time_limit,
-        scope_kwargs=_SCOPE_FAST, technique="sfll_hd",
+        technique="sfll_hd",
         time_limit=ol_time_limit,
     )
     ol_score = score_key(locked, result_ol.key)
@@ -456,7 +456,7 @@ def valkyrie_cell(cell, options):
     if technique in SFLT_TECHNIQUES:
         result = kratt_ol_attack(
             prep.netlist, prep.locked.key_inputs,
-            qbf_time_limit=qbf_time_limit, scope_kwargs=_SCOPE_FAST,
+            qbf_time_limit=qbf_time_limit,
             technique=technique,
             time_limit=_opt(options, "ol_time_limit", DEFAULT_OL_TIME_LIMIT),
         )
@@ -577,7 +577,7 @@ def attack_cell(cell, options):
     if attack == "kratt_ol":
         result = kratt_ol_attack(
             prep.netlist, prep.locked.key_inputs,
-            qbf_time_limit=qbf_time_limit, scope_kwargs=_SCOPE_FAST,
+            qbf_time_limit=qbf_time_limit,
             technique=technique, time_limit=budget,
         )
     elif attack == "kratt_og":

@@ -250,13 +250,7 @@ class Circuit:
 
     def depth(self):
         """Logic depth: longest input-to-output path length in gates."""
-        level = {}
-        for name in self.topological_order():
-            gate = self._gates[name]
-            if not gate.fanins:
-                level[name] = 0
-            else:
-                level[name] = 1 + max(level[s] for s in gate.fanins)
+        level = self.levels()
         if not self._outputs:
             return max(level.values(), default=0)
         return max(level.get(o, 0) for o in self._outputs)

@@ -221,25 +221,6 @@ class CompiledCircuit:
             self._native_state = "auto"
         self._evals = 0  # batch entry-point calls; drives auto-native
         self._sweep_memo = {}  # sweep shape -> (swept_positions, fixed_fill)
-        self._levels = None
-
-    def levels(self):
-        """Logic level of every signal, indexed by position (inputs and
-        constants are 0) — :meth:`Circuit.levels` in engine order.
-        Computed once per engine."""
-        if self._levels is None:
-            level = [0] * self.num_signals
-            for op, out, a, b in self.instructions:
-                if op == OP_CONST0 or op == OP_CONST1:
-                    continue
-                if isinstance(a, tuple):
-                    level[out] = 1 + max(level[i] for i in a)
-                elif b < 0:
-                    level[out] = 1 + level[a]
-                else:
-                    level[out] = 1 + max(level[a], level[b])
-            self._levels = level
-        return self._levels
 
     # ------------------------------------------------------------------
     # execution cores

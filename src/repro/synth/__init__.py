@@ -1,11 +1,11 @@
-"""Synthesis substrate: constant propagation (the SCOPE attack's feature
-source), local rewrites and the resynthesizer that uses them."""
+"""Synthesis substrate: constant propagation (the source of the SCOPE
+attack's area feature), local rewrites and the resynthesizer that uses
+them."""
 
 from .constprop import (
-    CircuitFeatures,
-    circuit_features,
+    circuit_area,
     dead_code_eliminate,
-    pinned_features,
+    pinned_area,
     propagate_constants,
 )
 from .resynth import resynthesize
@@ -19,10 +19,9 @@ from .rewrite import (
 )
 
 __all__ = [
-    "CircuitFeatures",
-    "circuit_features",
+    "circuit_area",
     "dead_code_eliminate",
-    "pinned_features",
+    "pinned_area",
     "propagate_constants",
     "resynthesize",
     "anonymize_internals",

@@ -1,34 +1,27 @@
 """Constant propagation, folding, and dead-code elimination.
 
 This is the engine behind the SCOPE attack (which compares how much a
-netlist simplifies when a key bit is pinned to 0 versus 1) and a helper
-pass for the resynthesizer.  Folding is frontier-based: a worklist walks
-only the fanout of the pinned signals and stops wherever a gate no
-longer changes, so the fold itself costs time proportional to the
-affected region.  :func:`propagate_constants` then materializes the
+netlist's area shrinks when a key bit is pinned to 0 versus 1) and a
+helper pass for the resynthesizer.  Folding is frontier-based: a
+worklist walks only the fanout of the pinned signals and stops wherever
+a gate no longer changes, so the fold itself costs time proportional to
+the affected region.  :func:`propagate_constants` then materializes the
 pinned netlist (a copy of every gate, linear in the netlist), while
-:func:`pinned_features` computes the features of the pinned, dead-code
-eliminated netlist without building it: its liveness walk and power
-evaluation are linear, the fold and the depth update stay within the
-region.
+:func:`pinned_area` computes the area of the pinned, dead-code
+eliminated netlist without building it: only its liveness walk is
+linear.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from itertools import repeat
-
 from ..netlist.circuit import Circuit
 from ..netlist.gate import Gate, GateType
-from ..netlist.simulate import random_patterns
 
 __all__ = [
     "propagate_constants",
     "dead_code_eliminate",
-    "circuit_features",
-    "pinned_features",
-    "CircuitFeatures",
+    "circuit_area",
+    "pinned_area",
 ]
 
 _IDENTITY = {
@@ -59,7 +52,7 @@ _BASE_IS_INVERTING = {
 
 _CONST_VALUE = {GateType.CONST0: 0, GateType.CONST1: 1}
 
-#: Gate types the area feature does not count (free after mapping).
+#: Gate types the area does not count (free after mapping).
 _FREE_TYPES = (GateType.INPUT, GateType.BUF, GateType.CONST0, GateType.CONST1)
 
 
@@ -140,7 +133,7 @@ def _fold_frontier(circuit, pins):
     """Fold the fanout frontier of the pinned inputs ``pins``.
 
     The one worklist behind :func:`propagate_constants` and
-    :func:`pinned_features`.  Returns ``(overrides, folded)``: the
+    :func:`pinned_area`.  Returns ``(overrides, folded)``: the
     replacement gate of every non-input gate the fold changed, and the
     number of gates that became constants or simplified.
     """
@@ -241,71 +234,24 @@ def dead_code_eliminate(circuit, keep_inputs=True):
     return out, removed
 
 
-@dataclass(frozen=True)
-class CircuitFeatures:
-    """SCOPE-style synthesis features of a netlist.
+def circuit_area(circuit):
+    """SCOPE's area feature: the logic gates of ``circuit``.
 
-    ``area`` counts logic gates (buffers and constants are free after
-    technology mapping), ``depth`` is the logic depth, and ``power`` is a
-    switching-activity proxy: the sum over signals of ``p*(1-p)`` with
-    ``p`` estimated from random simulation.
+    Buffers and constants are free after technology mapping, so they do
+    not count.
     """
-
-    area: int
-    depth: int
-    power: float
-
-    def as_tuple(self):
-        return (self.area, self.depth, self.power)
+    return sum(1 for g in circuit.gates() if g.gtype not in _FREE_TYPES)
 
 
-def _switching_power(words, patterns):
-    """Sum of ``p*(1-p)`` over simulated signal words of ``patterns`` bits.
+def pinned_area(circuit, fixed):
+    """Area of ``circuit`` with the inputs in ``fixed`` pinned.
 
-    ``math.fsum`` makes the total exact-rounded, so it does not depend on
-    the order the words come in.
-    """
-    terms = []
-    for ones in range(patterns + 1):
-        p = ones / patterns
-        terms.append(p * (1.0 - p))
-    ones = map(str.count, map(bin, words), repeat("1"))
-    return math.fsum(map(terms.__getitem__, ones))
-
-
-def circuit_features(circuit, power_patterns=64, rng=None):
-    """Extract :class:`CircuitFeatures` from a netlist."""
-    area = sum(1 for g in circuit.gates() if g.gtype not in _FREE_TYPES)
-    depth = circuit.depth()
-    power = 0.0
-    if power_patterns and circuit.inputs:
-        words, mask = random_patterns(list(circuit.inputs), power_patterns, rng)
-        values = circuit.evaluate(words, mask)
-        power = _switching_power(values.values(), power_patterns)
-    return CircuitFeatures(area=area, depth=depth, power=power)
-
-
-def pinned_features(circuit, fixed, power_patterns, engine):
-    """Features of ``circuit`` with the inputs in ``fixed`` pinned.
-
-    Returns exactly ``circuit_features(dead_code_eliminate(
-    propagate_constants(circuit, fixed)[0])[0], power_patterns)`` without
-    building that netlist:
-
-    * the fold runs over the pinned inputs' frontier only, and the
-      changed gates are kept as overrides of ``circuit``'s gates;
-    * liveness is a walk from the outputs over the overridden gates, and
-      the area counts the live gates;
-    * depth reuses ``circuit``'s logic levels and recomputes only the
-      live signals downstream of an overridden gate;
-    * power comes from one evaluation of ``circuit`` itself, driven by
-      the pinned netlist's stimulus with the pinned words held constant.
-      Folding preserves every live signal's function under the pins, so
-      its word equals the pinned netlist's.
-
-    ``engine`` is a :class:`~repro.netlist.engine.CompiledCircuit` of
-    ``circuit`` in its current structure; a sweep pinning many inputs
-    one at a time builds it once and passes it to every call.
+    Returns exactly ``circuit_area(dead_code_eliminate(
+    propagate_constants(circuit, fixed)[0])[0])`` without building that
+    netlist: the fold runs over the pinned inputs' frontier only, the
+    changed gates are kept as overrides of ``circuit``'s gates, and
+    liveness is a walk from the outputs over the overridden gates that
+    counts the live logic gates.
     """
     pins = {s: v for s, v in _normalize_pins(circuit, fixed).items() if s in circuit}
     overrides, _ = _fold_frontier(circuit, pins)
@@ -323,39 +269,4 @@ def pinned_features(circuit, fixed, power_patterns, engine):
             if gate.gtype not in _FREE_TYPES:
                 area += 1
             stack.extend(gate.fanins)
-
-    depth = 0
-    if circuit.outputs:
-        base = engine.levels()
-        index = engine.signal_index
-        fanout = circuit.fanout_map()
-        affected = set()
-        stack = [s for s in overrides if s not in pins]
-        while stack:
-            sig = stack.pop()
-            if sig not in affected:
-                affected.add(sig)
-                stack.extend(fanout[sig])
-        level = {}
-        for sig in sorted(affected & live, key=index.__getitem__):
-            fanins = (overrides.get(sig) or gates[sig]).fanins
-            if fanins:
-                level[sig] = 1 + max(
-                    level[s] if s in level else base[index[s]] for s in fanins
-                )
-            else:
-                level[sig] = 0
-        depth = max(
-            level[o] if o in level else base[index[o]] for o in circuit.outputs
-        )
-
-    power = 0.0
-    free = [s for s in circuit.inputs if s not in pins]
-    if power_patterns and free:
-        words, mask = random_patterns(free, power_patterns)
-        for sig, value in pins.items():
-            words[sig] = mask if value else 0
-        values = engine.evaluate(words, mask)
-        live.update(free)
-        power = _switching_power(map(values.__getitem__, live), power_patterns)
-    return CircuitFeatures(area=area, depth=depth, power=power)
+    return area

@@ -13,7 +13,7 @@ from factories import build_random_circuit
 from repro.attacks import Oracle, ddip_attack, sat_attack, scope_attack
 from repro.attacks.kratt import extract_unit, kratt_ol_attack, qbf_key_search
 from repro.budget import Deadline
-from repro.locking import lock_sarlock, lock_ttlock, lock_xor
+from repro.locking import TECHNIQUES, lock_sarlock, lock_ttlock, lock_xor
 from repro.netlist import Circuit
 from repro.qbf import solve_exists_forall_circuit
 from repro.sat.solver import Solver
@@ -195,7 +195,6 @@ class TestAttackBudgets:
         locked = lock_ttlock(host, 8, seed=2)
         result = kratt_ol_attack(
             locked.circuit, locked.key_inputs, qbf_time_limit=2,
-            scope_kwargs={"power_patterns": 8},
             time_limit=60.0,
         )
         assert result.time_limit == pytest.approx(60.0)
@@ -205,11 +204,54 @@ class TestAttackBudgets:
         locked = lock_ttlock(host, 8, seed=2)
         result = kratt_ol_attack(
             locked.circuit, locked.key_inputs, qbf_time_limit=2,
-            scope_kwargs={"power_patterns": 8},
             time_limit=0,
         )
         assert result.timed_out is True
         assert result.time_limit == 0.0
+
+    @pytest.mark.parametrize("technique,stage,method", [
+        ("ttlock", "modified_dflt_subcircuit", "subcircuit-scope"),
+        ("genantisat", "modified_locking_unit", "modified-unit-scope"),
+    ])
+    def test_kratt_ol_scope_limit_cannot_extend_overall_budget(
+            self, host, monkeypatch, technique, stage, method):
+        """A caller's SCOPE limit caps the SCOPE stage inside the overall
+        deadline; it never replaces it."""
+        from repro.attacks.kratt import flow
+
+        clock = FakeClock()
+        build = getattr(flow, stage)
+
+        def slow_build(*args, **kwargs):
+            clock.advance(10.0)  # the overall budget ends before SCOPE
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(flow, stage, slow_build)
+        locked = TECHNIQUES[technique](host, 8, seed=2)
+        result = kratt_ol_attack(
+            locked.circuit, locked.key_inputs, qbf_time_limit=2,
+            scope_kwargs={"time_limit": 60.0},
+            time_limit=Deadline.from_limit(5.0, clock=clock),
+        )
+        assert result.details["method"] == method
+        assert result.timed_out is True
+        assert all(v is None for v in result.key.values())
+
+    @pytest.mark.parametrize("technique,method", [
+        ("ttlock", "subcircuit-scope"),
+        ("genantisat", "modified-unit-scope"),
+    ])
+    def test_kratt_ol_scope_limit_caps_scope_stage(self, host, technique,
+                                                   method):
+        locked = TECHNIQUES[technique](host, 8, seed=2)
+        result = kratt_ol_attack(
+            locked.circuit, locked.key_inputs, qbf_time_limit=2,
+            scope_kwargs={"time_limit": 0},
+            time_limit=60.0,
+        )
+        assert result.details["method"] == method
+        assert result.details["scope_timed_out"] is True
+        assert all(v is None for v in result.key.values())
 
     def test_qbf_cap_starts_after_removal(self, host, monkeypatch):
         """A slow removal is charged to the overall budget, not to the QBF

@@ -8,8 +8,6 @@ from repro.locking import lock_sarlock, lock_sfll_hd, lock_ttlock, lock_xor
 from repro.netlist import parse_bench, write_bench
 from repro.synth import resynthesize
 
-SCOPE_FAST = {"power_patterns": 8}
-
 
 @pytest.fixture(scope="module")
 def multiplier():
@@ -27,8 +25,7 @@ class TestPaperStory:
         baseline = sat_attack(netlist, locked.key_inputs, oracle, time_limit=2.0)
         assert baseline.timed_out
 
-        result = kratt_ol_attack(netlist, locked.key_inputs, qbf_time_limit=5,
-                                 scope_kwargs=SCOPE_FAST)
+        result = kratt_ol_attack(netlist, locked.key_inputs, qbf_time_limit=5)
         score = score_key(locked, result.key)
         assert result.details["method"] == "qbf"
         assert score.exact_match
@@ -70,6 +67,5 @@ class TestInterop:
     def test_attack_on_parsed_netlist(self, multiplier):
         locked = lock_sarlock(multiplier, 8, seed=2)
         back = parse_bench(write_bench(locked.circuit))
-        result = kratt_ol_attack(back, locked.key_inputs, qbf_time_limit=3,
-                                 scope_kwargs=SCOPE_FAST)
+        result = kratt_ol_attack(back, locked.key_inputs, qbf_time_limit=3)
         assert score_key(locked, result.key).exact_match

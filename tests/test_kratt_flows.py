@@ -7,8 +7,6 @@ from repro.attacks import Oracle, kratt_og_attack, kratt_ol_attack, score_key
 from repro.locking import TECHNIQUES, lock_sfll_hd
 from repro.synth import resynthesize
 
-SCOPE_FAST = {"power_patterns": 8}
-
 
 @pytest.fixture(scope="module")
 def host():
@@ -30,7 +28,6 @@ class TestOlFlow:
         locked = locks[technique]
         result = kratt_ol_attack(
             locked.circuit, locked.key_inputs, qbf_time_limit=3,
-            scope_kwargs=SCOPE_FAST,
         )
         assert result.details["method"] == "qbf"
         assert score_key(locked, result.key).functional
@@ -39,7 +36,6 @@ class TestOlFlow:
         locked = locks["genantisat"]
         result = kratt_ol_attack(
             locked.circuit, locked.key_inputs, qbf_time_limit=3,
-            scope_kwargs=SCOPE_FAST,
         )
         assert result.details["method"] == "modified-unit-scope"
         assert score_key(locked, result.key).functional
@@ -49,7 +45,6 @@ class TestOlFlow:
         locked = locks[technique]
         result = kratt_ol_attack(
             locked.circuit, locked.key_inputs, qbf_time_limit=2,
-            scope_kwargs=SCOPE_FAST,
         )
         assert result.details["method"] == "subcircuit-scope"
         score = score_key(locked, result.key)
@@ -58,8 +53,7 @@ class TestOlFlow:
     def test_resynthesized_sflt(self, locks):
         locked = locks["antisat"]
         syn = resynthesize(locked.circuit, seed=13, effort=2)
-        result = kratt_ol_attack(syn, locked.key_inputs, qbf_time_limit=3,
-                                 scope_kwargs=SCOPE_FAST)
+        result = kratt_ol_attack(syn, locked.key_inputs, qbf_time_limit=3)
         assert result.details["method"] == "qbf"
         assert score_key(locked, result.key).functional
 
@@ -67,8 +61,7 @@ class TestOlFlow:
         from repro.locking import lock_xor
 
         locked = lock_xor(host, 6, seed=1)
-        result = kratt_ol_attack(locked.circuit, locked.key_inputs,
-                                 scope_kwargs=SCOPE_FAST)
+        result = kratt_ol_attack(locked.circuit, locked.key_inputs)
         assert not result.success
         assert "error" in result.details
 

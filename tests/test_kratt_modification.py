@@ -33,7 +33,7 @@ class TestModifiedLockingUnit:
     def test_collapse_asymmetry_exists(self, host):
         # The correct key value must simplify the modified unit strictly
         # more than the wrong value for at least most key bits.
-        from repro.synth import circuit_features, dead_code_eliminate, propagate_constants
+        from repro.synth import circuit_area, dead_code_eliminate, propagate_constants
 
         locked = lock_genantisat(host, 8, seed=2)
         extraction = extract_unit(locked.circuit, locked.key_inputs)
@@ -46,7 +46,7 @@ class TestModifiedLockingUnit:
             for value in (0, 1):
                 pinned, _ = propagate_constants(unit, {key: bool(value)})
                 pinned, _ = dead_code_eliminate(pinned)
-                areas[value] = circuit_features(pinned, power_patterns=0).area
+                areas[value] = circuit_area(pinned)
             if areas[0] != areas[1]:
                 asymmetric += 1
         assert asymmetric >= len(extraction.key_inputs) * 0.75

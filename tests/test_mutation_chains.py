@@ -211,8 +211,7 @@ def test_scope_after_in_place_mutation_matches_fresh_copy():
     circuit = locked.circuit
 
     def sweep(netlist):
-        return scope_attack(netlist, locked.key_inputs, rule="preserve",
-                            power_patterns=16)
+        return scope_attack(netlist, locked.key_inputs, rule="preserve")
 
     first = sweep(circuit)  # warms the topological order and fanout map
     # Invert the flip XOR in place: guesses under "preserve" may change.
@@ -222,5 +221,5 @@ def test_scope_after_in_place_mutation_matches_fresh_copy():
     second = sweep(circuit)
     fresh = sweep(circuit.copy())
     assert second.guesses == fresh.guesses
-    assert second.features == fresh.features
+    assert second.areas == fresh.areas
     assert len(first.guesses) == len(second.guesses)

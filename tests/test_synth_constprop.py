@@ -1,4 +1,4 @@
-"""Tests for constant propagation, DCE, and feature extraction."""
+"""Tests for constant propagation, DCE, and the SCOPE area feature."""
 
 import itertools
 
@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from factories import build_exotic_circuit, build_random_circuit
 from repro.netlist import Circuit
-from repro.netlist.engine import CompiledCircuit
 from repro.netlist.simulate import simulate_patterns
 from repro.synth import (
-    circuit_features,
+    circuit_area,
     dead_code_eliminate,
-    pinned_features,
+    pinned_area,
     propagate_constants,
 )
 
@@ -89,35 +88,15 @@ class TestFeatures:
         c.add_gate("b1", "BUF", ("a",))
         c.add_gate("n1", "NOT", ("b1",))
         c.set_outputs(["n1"])
-        feats = circuit_features(c, power_patterns=0)
-        assert feats.area == 1
-
-    def test_power_in_range(self, medium_circuit):
-        feats = circuit_features(medium_circuit, power_patterns=32)
-        assert 0.0 <= feats.power <= medium_circuit.num_signals * 0.25 + 1
-
-    def test_depth_matches(self, majority_circuit):
-        feats = circuit_features(majority_circuit, power_patterns=0)
-        assert feats.depth == 2
+        assert circuit_area(c) == 1
 
 
-POWER_PATTERNS = (0, 16, 24, 64)
-
-
-def assert_pinned_features_exact(circuit, pins_list):
-    """pinned_features equals the pinned netlist's features, every pin.
-
-    ``power_patterns=24`` makes the power terms non-dyadic, so the match
-    also shows the power sum does not depend on signal order.
-    """
-    engine = CompiledCircuit(circuit, codegen=False, native=False)
+def assert_pinned_area_exact(circuit, pins_list):
+    """pinned_area equals the pinned netlist's area, every pin."""
     for pins in pins_list:
         pinned, _ = propagate_constants(circuit, pins)
         pinned, _ = dead_code_eliminate(pinned)
-        for patterns in POWER_PATTERNS:
-            expected = circuit_features(pinned, power_patterns=patterns)
-            got = pinned_features(circuit, pins, patterns, engine)
-            assert got == expected, (pins, patterns)
+        assert pinned_area(circuit, pins) == circuit_area(pinned), pins
 
 
 def key_pins(keys):
@@ -140,7 +119,7 @@ class TestPinnedFeatures:
     @pytest.mark.parametrize("host,key_width", PIN_HOSTS)
     def test_locked_netlists(self, host, key_width, technique):
         prep = _prepared(host, key_width, technique)
-        assert_pinned_features_exact(prep.netlist, key_pins(prep.locked.key_inputs))
+        assert_pinned_area_exact(prep.netlist, key_pins(prep.locked.key_inputs))
 
     @pytest.mark.parametrize("technique", PAPER_TECHNIQUES)
     def test_kratt_ol_scope_inputs(self, technique):
@@ -162,7 +141,7 @@ class TestPinnedFeatures:
             circuit, _ = modified_dflt_subcircuit(extraction, off_value=off)
         keys = [k for k in prep.locked.key_inputs if k in circuit.inputs]
         assert keys
-        assert_pinned_features_exact(circuit, key_pins(keys))
+        assert_pinned_area_exact(circuit, key_pins(keys))
 
     def test_key_drives_output_directly(self):
         c = Circuit("direct")
@@ -171,7 +150,7 @@ class TestPinnedFeatures:
         c.add_gate("g", "XOR", ("k", "a"))
         c.add_gate("h", "NAND", ("g", "b"))
         c.set_outputs(["k", "h", "k"])
-        assert_pinned_features_exact(c, key_pins(["k", "a"]))
+        assert_pinned_area_exact(c, key_pins(["k", "a"]))
 
     def test_dangling_key(self):
         c = Circuit("dangling")
@@ -180,7 +159,7 @@ class TestPinnedFeatures:
         c.add_gate("g", "OR", ("a", "b"))
         c.add_gate("n", "NOT", ("g",))
         c.set_outputs(["n"])
-        assert_pinned_features_exact(c, key_pins(["k"]))
+        assert_pinned_area_exact(c, key_pins(["k"]))
 
     def test_pin_folds_output_to_constant(self):
         c = Circuit("fold")
@@ -190,7 +169,7 @@ class TestPinnedFeatures:
         c.add_gate("h", "NOR", ("g", "k"))
         c.add_gate("o", "XOR", ("h", "b"))
         c.set_outputs(["g", "h", "o"])
-        assert_pinned_features_exact(c, key_pins(["k"]))
+        assert_pinned_area_exact(c, key_pins(["k"]))
 
     def test_only_free_input_pinned(self):
         c = Circuit("single")
@@ -199,14 +178,14 @@ class TestPinnedFeatures:
         c.add_gate("b", "BUF", ("n",))
         c.add_gate("o", "XNOR", ("n", "b"))
         c.set_outputs(["o", "b"])
-        assert_pinned_features_exact(c, key_pins(["k"]))
+        assert_pinned_area_exact(c, key_pins(["k"]))
 
     def test_no_outputs(self):
         c = Circuit("open")
         for name in ("k", "a"):
             c.add_input(name)
         c.add_gate("g", "AND", ("k", "a"))
-        assert_pinned_features_exact(c, key_pins(["k"]))
+        assert_pinned_area_exact(c, key_pins(["k"]))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exotic_gates_and_multi_pins(self, seed):
@@ -215,9 +194,8 @@ class TestPinnedFeatures:
         inputs = list(c.inputs)
         pairs = [{a: bool(seed & 1), b: bool(seed & 2)}
                  for a, b in zip(inputs, inputs[1:])]
-        assert_pinned_features_exact(c, key_pins(inputs) + pairs)
+        assert_pinned_area_exact(c, key_pins(inputs) + pairs)
 
     def test_pin_on_gate_driven_signal_rejected(self, majority_circuit):
-        engine = CompiledCircuit(majority_circuit, codegen=False, native=False)
         with pytest.raises(ValueError):
-            pinned_features(majority_circuit, {"ab": False}, 16, engine)
+            pinned_area(majority_circuit, {"ab": False})
