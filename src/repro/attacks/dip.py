@@ -177,8 +177,8 @@ class DipEngine:
         if status is not True:
             return status, None
         if not canonical:
-            model = self.solver.model()
-            return True, {s: model.get(v, False) for s, v in self.x_vars.items()}
+            value = self.solver.model_value
+            return True, {s: value(v) for s, v in self.x_vars.items()}
         x = self._canonical_assignment(
             [(s, self.x_vars[s]) for s in self.data_inputs],
             base,
@@ -249,8 +249,8 @@ class DipEngine:
         if status is not True:
             return None
         if not canonical:
-            model = self.solver.model()
-            return {s: model.get(v, False) for s, v in self.k1_vars.items()}
+            value = self.solver.model_value
+            return {s: value(v) for s, v in self.k1_vars.items()}
         return self._canonical_assignment(
             [(s, self.k1_vars[s]) for s in self.key_inputs],
             [],
@@ -297,8 +297,10 @@ class ScratchDipEngine:
     :class:`~repro.sat.tseitin.VarRegistry` discipline), which the
     allocation-stability tests assert directly.
 
-    This is the differential baseline and the bench's "from-scratch
-    loop"; it is O(iterations^2) in total encoding work by construction.
+    This is the differential baseline that
+    ``tests/test_incremental_differential.py`` grades :class:`DipEngine`
+    against; it is O(iterations^2) in total encoding work by
+    construction.
     """
 
     mode = "scratch"

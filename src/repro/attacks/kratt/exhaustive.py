@@ -263,8 +263,7 @@ def infer_key_from_hd_constraints(
         status = solver.solve(max_conflicts=500_000, time_limit=time_limit)
         if status is not True:
             return None
-        model = solver.model()
-        center = {ppi: bool(model.get(varmap[svars[ppi]], False)) for ppi in ppis}
+        center = {ppi: solver.model_value(varmap[svars[ppi]]) for ppi in ppis}
         key = {k: False for k in key_inputs}
         for ppi in ppis:
             for k in key_of_ppi.get(ppi, ())[:1]:

@@ -33,7 +33,8 @@ def enumerate_cone_patterns(subcircuit, root, value, ppis, limit=4):
     blocking clauses over the support variables.
     """
     cone = extract_cone(subcircuit, root)
-    support = [s for s in cone.inputs if s in set(ppis)]
+    ppi_set = set(ppis)
+    support = [s for s in cone.inputs if s in ppi_set]
     if not support:
         return []
     solver = Solver()
@@ -45,11 +46,10 @@ def enumerate_cone_patterns(subcircuit, root, value, ppis, limit=4):
         status = solver.solve(max_conflicts=100_000)
         if status is not True:
             break
-        model = solver.model()
         assignment = {ppi: None for ppi in ppis}
         blocking = []
         for sig in support:
-            bit = 1 if model.get(varmap[sig], False) else 0
+            bit = 1 if solver.model_value(varmap[sig]) else 0
             assignment[sig] = bit
             blocking.append(-varmap[sig] if bit else varmap[sig])
         patterns.append(assignment)

@@ -158,8 +158,7 @@ def check_equivalent(
         return True, None
     if status is None:
         return None, None
-    model = solver.model()
-    cex = {name: model.get(varmap[name], False) for name in miter.inputs}
+    cex = {name: solver.model_value(varmap[name]) for name in miter.inputs}
     return False, cex
 
 
@@ -196,6 +195,5 @@ def prove_signal_constant(
         return True, None
     if status is None:
         return None, None
-    model = solver.model()
-    cex = {name: model.get(varmap[name], False) for name in circuit.inputs}
+    cex = {name: solver.model_value(varmap[name]) for name in circuit.inputs}
     return False, cex

@@ -264,8 +264,9 @@ def solve_exists_forall_circuit(
         # Lift the verifier's current model, the first counterexample.
         nonlocal lift_pending
         lift_pending = False
-        vmodel = verifier.model()
-        point = {name: vmodel.get(var, False) for name, var in all_vars.items()}
+        point = {
+            name: verifier.model_value(var) for name, var in all_vars.items()
+        }
         strategy = _lift_counterexample(
             circuit, exist_inputs, forall_inputs, output, target_value,
             strategy_hint, point, deadline,
@@ -325,9 +326,9 @@ def solve_exists_forall_circuit(
             )
             if status is not True:
                 continue
-            model = candidate.model()
             key_guess = {
-                name: model.get(var, False) for name, var in exist_vars.items()
+                name: candidate.model_value(var)
+                for name, var in exist_vars.items()
             }
             if verify_witness(key_guess) is False:
                 return QBFResult(
@@ -346,8 +347,9 @@ def solve_exists_forall_circuit(
             return out_of_budget(iterations)
         if status is False:
             return QBFResult(False, None, iterations, deadline.now() - start)
-        model = candidate.model()
-        key_guess = {name: model.get(var, False) for name, var in exist_vars.items()}
+        key_guess = {
+            name: candidate.model_value(var) for name, var in exist_vars.items()
+        }
 
         assumptions = [
             var if key_guess[name] else -var for name, var in exist_vars.items()
@@ -364,8 +366,9 @@ def solve_exists_forall_circuit(
             refuted = lift_refutation()
             if refuted is not None:
                 return refuted
-        vmodel = verifier.model()
-        cex = {name: vmodel.get(all_vars[name], False) for name in forall_inputs}
+        cex = {
+            name: verifier.model_value(all_vars[name]) for name in forall_inputs
+        }
 
         # Refinement: candidate must satisfy the constraint at this cex.
         out_vars_c = encode_into_solver(
@@ -480,8 +483,7 @@ def solve_2qbf(qbf, max_universals=20, time_limit=None):
 
     status = solver.solve(time_limit=deadline)
     if status is True:
-        model = solver.model()
-        witness = {v: model.get(outer_vars[v], False) for v in outer}
+        witness = {v: solver.model_value(outer_vars[v]) for v in outer}
         return QBFResult(True, witness, 1, deadline.now() - start)
     if status is False:
         return QBFResult(False, None, 1, deadline.now() - start)

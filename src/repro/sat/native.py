@@ -7,9 +7,10 @@ the propagation-rate-bound state into C: a contiguous clause arena
 (``int32`` words, clauses stored as ``[size, lit0..litN-1]`` and named
 by their arena offset), per-encoded-literal watch arrays with blocker
 literals, and the trail/assignment/level/phase/reason arrays as flat
-``int8``/``int32``/``int64`` buffers.  ``_propagate``, clause
-attach, and trail backjump cross into C; decide/analyze/1-UIP/restart
-stay in Python, reading the C state through zero-copy ``ctypes`` views.
+``int8``/``int32``/``int64`` buffers.  ``_propagate``, problem-clause
+intake, learnt-clause attach, and trail backjump cross into C;
+decide/analyze/1-UIP/restart stay in Python, reading the C state
+through zero-copy ``ctypes`` views.
 
 Bit-identity contract
 ---------------------
@@ -17,11 +18,18 @@ The C loop is a line-for-line mirror of the Python ``_propagate``:
 blocker-first visits, the false literal normalized into slot 1,
 replacement watches migrating entries in place, in-place watch-list
 compaction with a read/write cursor, conflict handling that keeps the
-remaining watchers and drains the queue.  Identical visit order means
-identical propagation counts, identical conflicts, identical learnt
-clauses, identical models — the native-vs-python differential suite
-(`tests/test_solver_differential.py`) and the ``solver_native`` bench
-gate enforce exactly that.
+remaining watchers and drains the queue.  Clause intake
+(``repro_sat_add_clauses``, one call per flat ``[size, lit, ...]*``
+buffer) mirrors the Python ``Solver._add_clause`` the same way:
+duplicate literals dropped, tautologies skipped, level-0 false literals
+dropped and satisfied clauses skipped, units enqueued and propagated at
+level 0, an empty clause making the formula UNSAT.  Identical intake
+and visit order mean an identical arena, watch lists and trail, hence
+identical propagation counts, conflicts, learnt clauses and models.
+The tier-1 tests ``tests/test_solver_differential.py`` (trajectories on
+random CNFs, assumption probes, attack miters, fork/spawn children) and
+``tests/test_clause_intake.py`` (bulk vs per-clause intake on both
+backends) enforce exactly that.
 
 Deadline semantics are preserved through a stride budget: with an
 active :class:`repro.budget.Deadline` the C loop pauses every
@@ -43,6 +51,7 @@ and vice versa.  ``REPRO_NATIVE=0`` disables everything;
 from __future__ import annotations
 
 import ctypes
+from array import array
 
 from .. import nativelib
 from ..nativelib import NativeUnavailable
@@ -66,7 +75,7 @@ COMPONENT = "solver"
 #: Bumped whenever the C core changes meaning; part of the source (hence
 #: the content hash), so stale ``.so`` entries stop matching instead of
 #: being loaded.
-SOURCE_FORMAT_VERSION = 1
+SOURCE_FORMAT_VERSION = 2
 
 _CORE_SOURCE = r"""
 /* repro.sat.native — CDCL propagation core, v%(version)d
@@ -111,6 +120,7 @@ typedef struct {
   long arena_len;
   long arena_cap;
   int32_t *popped;  /* backtrack out-buffer (vars, reverse trail order) */
+  uint8_t *mark;    /* per encoded literal: seen in the clause being taken */
 } Sat;
 
 static void wl_push(Sat *s, int32_t lit, Watch w) {
@@ -138,6 +148,7 @@ long repro_sat_ensure_vars(Sat *s, long n) {
     s->wl = (Watch **)realloc(s->wl, (size_t)(2 * (cap + 1)) * sizeof(Watch *));
     s->wl_len = (long *)realloc(s->wl_len, (size_t)(2 * (cap + 1)) * sizeof(long));
     s->wl_cap = (long *)realloc(s->wl_cap, (size_t)(2 * (cap + 1)) * sizeof(long));
+    s->mark = (uint8_t *)realloc(s->mark, (size_t)(2 * (cap + 1)));
     /* initialize the whole fresh capacity region once, so growing
      * nvars within capacity later is free */
     long i;
@@ -151,6 +162,7 @@ long repro_sat_ensure_vars(Sat *s, long n) {
       s->wl[i] = 0;
       s->wl_len[i] = 0;
       s->wl_cap[i] = 0;
+      s->mark[i] = 0;
     }
     s->var_cap = cap;
   }
@@ -171,6 +183,7 @@ Sat *repro_sat_new(void) {
   s->wl = (Watch **)malloc(2 * sizeof(Watch *));
   s->wl_len = (long *)calloc(2, sizeof(long));
   s->wl_cap = (long *)calloc(2, sizeof(long));
+  s->mark = (uint8_t *)calloc(2, 1);
   s->assign[0] = -1;
   s->level[0] = 0;
   s->phase[0] = 0;
@@ -190,29 +203,40 @@ void repro_sat_free(Sat *s) {
   for (i = 0; i < 2 * (s->var_cap + 1); ++i) free(s->wl[i]);
   free(s->wl); free(s->wl_len); free(s->wl_cap);
   free(s->assign); free(s->level); free(s->phase); free(s->reason);
-  free(s->trail); free(s->popped); free(s->arena);
+  free(s->trail); free(s->popped); free(s->arena); free(s->mark);
   free(s);
 }
 
-int64_t repro_sat_add_clause(Sat *s, const int32_t *lits, long size) {
-  long need = size + 1;
+static void arena_reserve(Sat *s, long need) {
   if (s->arena_len + need > s->arena_cap) {
     long cap = s->arena_cap ? s->arena_cap : 1024;
     while (s->arena_len + need > cap) cap *= 2;
     s->arena = (int32_t *)realloc(s->arena, (size_t)cap * 4);
     s->arena_cap = cap;
   }
+}
+
+/* Attach the size literals already written after the arena's end (the
+ * caller reserved room): header, two watches (Python _attach).
+ * watches[l] is visited when l becomes TRUE, hence the ^1; the
+ * co-watched literal rides along as the blocker. */
+static int64_t attach_tail(Sat *s, long size) {
   int64_t ref = s->arena_len;
+  int32_t *lits = s->arena + ref + 1;
   s->arena[ref] = (int32_t)size;
-  memcpy(s->arena + ref + 1, lits, (size_t)size * 4);
-  s->arena_len += need;
-  /* watches[l] is visited when l becomes TRUE, hence the ^1; the
-   * co-watched literal rides along as the blocker (Python _attach) */
+  s->arena_len += size + 1;
   Watch w0; w0.ref = ref; w0.blocker = lits[1]; w0.pad = 0;
   Watch w1; w1.ref = ref; w1.blocker = lits[0]; w1.pad = 0;
   wl_push(s, lits[0] ^ 1, w0);
   wl_push(s, lits[1] ^ 1, w1);
   return ref;
+}
+
+/* A learnt clause: encoded literals (len >= 2), attached as given. */
+int64_t repro_sat_attach(Sat *s, const int32_t *lits, long size) {
+  arena_reserve(s, size + 1);
+  memcpy(s->arena + s->arena_len + 1, lits, (size_t)size * 4);
+  return attach_tail(s, size);
 }
 
 int repro_sat_enqueue(Sat *s, int32_t enc, int64_t reason, int32_t level) {
@@ -319,6 +343,74 @@ int64_t repro_sat_propagate(Sat *s, int32_t cur_level, int64_t max_props,
   return -1;
 }
 
+/* Problem-clause intake: flat = [size, lit0..lit(size-1)]* in signed
+ * DIMACS literals.  Each clause goes through a line-for-line mirror of
+ * the Python Solver._add_clause: vars grown per literal, duplicate
+ * literals dropped, a tautology skipped, and at decision level 0 false
+ * literals dropped and a satisfied clause skipped; an empty clause makes
+ * the formula UNSAT, a unit is enqueued and propagated at level 0, and
+ * anything longer is attached.  Intake stops at the first clause that
+ * makes the formula UNSAT (return 1), at a 0 literal (2), at a unit
+ * above level 0 (3) or at a size word that overruns the buffer (4); 0
+ * means every clause was taken.  refs[] receives
+ * the attached clauses' refs; out[] = {propagations, refs written,
+ * nvars}. */
+long repro_sat_add_clauses(Sat *s, const int32_t *flat, long n,
+                           int32_t level, int64_t *refs, int64_t *out) {
+  long pos = 0, nrefs = 0, code = 0;
+  int64_t props = 0;
+  while (pos < n) {
+    long size = flat[pos];
+    if (size < 0 || pos + 1 + size > n) { code = 4; break; }
+    const int32_t *lits = flat + pos + 1;
+    pos += size + 1;
+    /* build the kept literals in place after the arena's end */
+    arena_reserve(s, size + 1);
+    int32_t *cls = s->arena + s->arena_len + 1;
+    long i, k = 0, end = size;
+    int skip = 0;
+    for (i = 0; i < size; ++i) {
+      int32_t lit = lits[i];
+      if (lit == 0) { code = 2; end = i; break; }
+      int32_t var = lit > 0 ? lit : -lit;
+      if (var > s->nvars) repro_sat_ensure_vars(s, var);
+      int32_t enc = (var << 1) | (lit < 0);
+      if (s->mark[enc ^ 1]) { skip = 1; end = i; break; }  /* x | -x */
+      if (s->mark[enc]) continue;
+      s->mark[enc] = 1;
+      if (level == 0) {
+        int8_t a = s->assign[var];
+        if (a >= 0) {
+          if ((a ^ (enc & 1)) == 1) { skip = 1; end = i + 1; break; }
+          continue;
+        }
+      }
+      cls[k++] = enc;
+    }
+    for (i = 0; i < end; ++i) {
+      int32_t lit = lits[i];
+      s->mark[lit > 0 ? lit << 1 : ((-lit) << 1) | 1] = 0;
+    }
+    if (code) break;
+    if (skip) continue;
+    if (k == 0) { code = 1; break; }
+    if (k == 1) {
+      if (level > 0) { code = 3; break; }
+      int64_t p = 0;
+      if (!repro_sat_enqueue(s, cls[0], -1, 0)) { code = 1; break; }
+      int64_t conflict = repro_sat_propagate(s, 0, INT64_MAX, &p);
+      props += p;
+      if (conflict != -1) { code = 1; break; }
+      continue;
+    }
+    refs[nrefs++] = attach_tail(s, k);
+  }
+  out[0] = props;
+  out[1] = nrefs;
+  out[2] = s->nvars;
+  return code;
+}
+
 /* Learned-DB reduction GC: copy the live clauses (problem clauses plus
  * kept learnts, in caller order) into a fresh arena, leave a forwarding
  * address (-2 - new_ref) in each old header, then remap the reason
@@ -407,8 +499,12 @@ def _configure(lib):
     lib.repro_sat_free.restype = None
     lib.repro_sat_ensure_vars.argtypes = [_VOIDP, ctypes.c_long]
     lib.repro_sat_ensure_vars.restype = ctypes.c_long
-    lib.repro_sat_add_clause.argtypes = [_VOIDP, _P32, ctypes.c_long]
-    lib.repro_sat_add_clause.restype = ctypes.c_int64
+    lib.repro_sat_attach.argtypes = [_VOIDP, _P32, ctypes.c_long]
+    lib.repro_sat_attach.restype = ctypes.c_int64
+    lib.repro_sat_add_clauses.argtypes = [
+        _VOIDP, _VOIDP, ctypes.c_long, ctypes.c_int32, _VOIDP, _P64,
+    ]
+    lib.repro_sat_add_clauses.restype = ctypes.c_long
     lib.repro_sat_enqueue.argtypes = [
         _VOIDP, ctypes.c_int32, ctypes.c_int64, ctypes.c_int32,
     ]
@@ -477,6 +573,7 @@ class NativeSolverCore:
         # decision (the byref box shows up in profiles otherwise).
         self._props_box = ctypes.c_int64(0)
         self._props_ref = ctypes.byref(self._props_box)
+        self._intake_out = (ctypes.c_int64 * 3)()
         self._refresh_vars(lib.repro_sat_ensure_vars(handle, 0))
 
     # -- lifecycle -----------------------------------------------------
@@ -514,12 +611,34 @@ class NativeSolverCore:
             lib.repro_sat_popped(s))
 
     # -- clauses -------------------------------------------------------
-    def add_clause(self, lits):
-        """Append ``lits`` (encoded, len >= 2) to the arena and attach
-        its two watches; returns the clause ref (arena offset)."""
+    def attach(self, lits):
+        """Append a learnt clause ``lits`` (encoded, len >= 2) to the
+        arena as given and attach its two watches; returns the clause
+        ref (arena offset)."""
         arr = (ctypes.c_int32 * len(lits))(*lits)
         self._arena_dirty = True
-        return self._lib.repro_sat_add_clause(self._s, arr, len(lits))
+        return self._lib.repro_sat_attach(self._s, arr, len(lits))
+
+    def add_clauses(self, flat, level):
+        """Take the problem clauses of ``flat`` (``[size, lit, ...]*``,
+        signed DIMACS literals) at decision level ``level``.
+
+        Returns ``(code, propagations, refs, nvars)``: ``code`` is 0 when
+        every clause was taken, 1 when the formula became UNSAT, 2 on a
+        ``0`` literal, 3 on a unit clause above level 0 and 4 on a size
+        word that overruns the buffer; ``refs`` are
+        the attached clauses in order and ``nvars`` the grown variable
+        count (the caller rebinds its views through :meth:`ensure_vars`).
+        """
+        buf = array("i", flat)
+        n = len(buf)
+        refs = array("q", bytes(8 * (n // 3 + 1)))
+        out = self._intake_out
+        self._arena_dirty = True
+        code = self._lib.repro_sat_add_clauses(
+            self._s, buf.buffer_info()[0], n, level,
+            refs.buffer_info()[0], out)
+        return code, out[0], refs[:out[1]], out[2]
 
     def _arena(self):
         # Appends and compaction are the only realloc sources and both

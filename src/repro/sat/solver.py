@@ -20,7 +20,8 @@ When the native propagation core (:mod:`repro.sat.native`) is available
 it takes over the propagation-rate-bound state behind the same encoded
 literal API: clauses live in a contiguous C arena (named by arena
 offsets instead of list objects), the watch lists / trail / assignment
-arrays are flat C buffers, and ``_propagate``, clause attach, and trail
+arrays are flat C buffers, and ``_propagate``, clause intake (one call
+per :meth:`Solver.add_clauses` buffer), learnt attach, and trail
 backjump cross into C.  Decide / analyze / 1-UIP / restart logic stays
 in this file, reading the C state through zero-copy ``ctypes`` views.
 The two modes are bit-identical by construction — same propagation
@@ -71,6 +72,8 @@ _NEVER_CHECK = float("inf")
 #: Stride for native propagation with no deadline: one C call drains the
 #: whole queue (2**62 pops is unreachable).
 _UNBOUNDED_PROPS = 1 << 62
+
+_UNIT_ABOVE_ROOT = "unit clauses must be added at decision level 0"
 
 
 def _identity(clause):
@@ -257,6 +260,46 @@ class Solver:
 
     def add_clause(self, literals):
         """Add a problem clause (signed literals); False if now UNSAT."""
+        if self._native is not None:
+            lits = list(literals)
+            return self._intake([len(lits), *lits])
+        return self._add_clause(literals)
+
+    def add_clauses(self, flat):
+        """Add every clause of the flat buffer ``[size, lit, ...]*``
+        (signed literals); False if now UNSAT.
+
+        The bulk intake the circuit encoders use: exactly the state a
+        loop of :meth:`add_clause` over the same clauses leaves, with
+        one native call instead of one per clause.  Intake stops at the
+        clause that makes the formula UNSAT.
+        """
+        if self._native is not None:
+            return self._intake(flat)
+        if not self._ok:
+            return False
+        pos, n = 0, len(flat)
+        while pos < n:
+            end = pos + 1 + flat[pos]
+            if flat[pos] < 0 or end > n:
+                raise ValueError("clause size overruns the flat buffer")
+            if not self._add_clause(flat[pos + 1:end]):
+                return False
+            pos = end
+        return True
+
+    def add_cnf(self, cnf):
+        """Add every clause of a :class:`repro.sat.cnf.CNF`."""
+        self.ensure_vars(cnf.num_vars)
+        flat = []
+        for clause in cnf.clauses:
+            flat.append(len(clause))
+            flat.extend(clause)
+        return self.add_clauses(flat)
+
+    def _add_clause(self, literals):
+        """The reference intake of one clause, which the native
+        ``repro_sat_add_clauses`` mirrors line for line."""
         if not self._ok:
             return False
         seen = set()
@@ -287,7 +330,7 @@ class Solver:
             return False
         if len(clause) == 1:
             if self._trail_lim:
-                raise RuntimeError("unit clauses must be added at decision level 0")
+                raise RuntimeError(_UNIT_ABOVE_ROOT)
             if not self._enqueue(clause[0], None):
                 self._ok = False
                 return False
@@ -295,20 +338,29 @@ class Solver:
                 self._ok = False
                 return False
             return True
-        if self._native is not None:
-            self._clauses.append(self._native.add_clause(clause))
-        else:
-            self._clauses.append(clause)
-            self._attach(clause)
+        self._clauses.append(clause)
+        self._attach(clause)
         return True
 
-    def add_cnf(self, cnf):
-        """Add every clause of a :class:`repro.sat.cnf.CNF`."""
-        self.ensure_vars(cnf.num_vars)
-        for clause in cnf.clauses:
-            if not self.add_clause(clause):
-                return False
-        return True
+    def _intake(self, flat):
+        """Native-mode intake: one ``repro_sat_add_clauses`` call."""
+        if not self._ok:
+            return False
+        core = self._native
+        code, props, refs, nvars = core.add_clauses(flat, len(self._trail_lim))
+        self.propagations += props
+        self._clauses.extend(refs)
+        self.ensure_vars(nvars)  # rebinds the views if the C buffers moved
+        if code == 0:
+            return True
+        if code == 1:
+            self._ok = False
+            return False
+        if code == 2:
+            raise ValueError("0 is not a valid literal")
+        if code == 3:
+            raise RuntimeError(_UNIT_ABOVE_ROOT)
+        raise ValueError("clause size overruns the flat buffer")
 
     def _attach(self, clause):
         # watches[l] is visited when l becomes TRUE; a clause watching
@@ -617,7 +669,7 @@ class Solver:
         """Store a learnt clause (len >= 2); returns its handle — the
         list itself in Python mode, the arena ref in native mode."""
         if self._native is not None:
-            ref = self._native.add_clause(learnt)
+            ref = self._native.attach(learnt)
             self._learnts.append(ref)
             return ref
         self._learnts.append(learnt)

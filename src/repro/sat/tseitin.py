@@ -66,52 +66,59 @@ class VarRegistry:
         return dict(self._vars)
 
 
-def _and_clauses(out, ins):
-    clauses = [tuple(-i for i in ins) + (out,)]
-    clauses.extend((i, -out) for i in ins)
-    return clauses
+def _emit_gate(flat, gtype, out, ins, top):
+    """Append the clauses of ``out = gtype(ins)`` to the flat buffer
+    ``flat`` (``[size, lit, ...]*``); returns the new top variable.
 
-
-def _or_clauses(out, ins):
-    clauses = [tuple(ins) + (-out,)]
-    clauses.extend((-i, out) for i in ins)
-    return clauses
-
-
-def _xor2_clauses(out, a, b):
-    return [(-a, -b, -out), (a, b, -out), (a, -b, out), (-a, b, out)]
+    Wide XOR/XNOR gates allocate their chain steps as ``top + 1``,
+    ``top + 2``, ...; no other gate allocates.
+    """
+    if gtype is GateType.AND or gtype is GateType.NAND:
+        o = out if gtype is GateType.AND else -out
+        flat.append(len(ins) + 1)
+        flat.extend([-i for i in ins])
+        flat.append(o)
+        for i in ins:
+            flat += (2, i, -o)
+    elif gtype is GateType.OR or gtype is GateType.NOR:
+        o = out if gtype is GateType.OR else -out
+        flat.append(len(ins) + 1)
+        flat.extend(ins)
+        flat.append(-o)
+        for i in ins:
+            flat += (2, -i, o)
+    elif gtype is GateType.XOR or gtype is GateType.XNOR:
+        acc = ins[0]
+        for nxt in ins[1:-1]:
+            top += 1
+            flat += (3, -acc, -nxt, -top, 3, acc, nxt, -top,
+                     3, acc, -nxt, top, 3, -acc, nxt, top)
+            acc = top
+        o = out if gtype is GateType.XOR else -out
+        b = ins[-1]
+        flat += (3, -acc, -b, -o, 3, acc, b, -o, 3, acc, -b, o, 3, -acc, b, o)
+    elif gtype is GateType.NOT:
+        flat += (2, ins[0], out, 2, -ins[0], -out)
+    elif gtype is GateType.BUF:
+        flat += (2, -ins[0], out, 2, ins[0], -out)
+    elif gtype is GateType.CONST0:
+        flat += (1, -out)
+    elif gtype is GateType.CONST1:
+        flat += (1, out)
+    else:
+        raise ValueError(f"cannot encode gate type {gtype}")
+    return top
 
 
 def encode_gate_clauses(cnf, gtype, out_var, in_vars):
     """Append clauses asserting ``out_var = gtype(in_vars)`` to ``cnf``."""
-    if gtype is GateType.AND:
-        cnf.add_clauses(_and_clauses(out_var, in_vars))
-    elif gtype is GateType.NAND:
-        cnf.add_clauses(_and_clauses(-out_var, in_vars))
-    elif gtype is GateType.OR:
-        cnf.add_clauses(_or_clauses(out_var, in_vars))
-    elif gtype is GateType.NOR:
-        cnf.add_clauses(_or_clauses(-out_var, in_vars))
-    elif gtype in (GateType.XOR, GateType.XNOR):
-        acc = in_vars[0]
-        for nxt in in_vars[1:-1]:
-            step = cnf.new_var()
-            cnf.add_clauses(_xor2_clauses(step, acc, nxt))
-            acc = step
-        target = out_var if gtype is GateType.XOR else -out_var
-        cnf.add_clauses(_xor2_clauses(target, acc, in_vars[-1]))
-    elif gtype is GateType.NOT:
-        cnf.add_clause((in_vars[0], out_var))
-        cnf.add_clause((-in_vars[0], -out_var))
-    elif gtype is GateType.BUF:
-        cnf.add_clause((-in_vars[0], out_var))
-        cnf.add_clause((in_vars[0], -out_var))
-    elif gtype is GateType.CONST0:
-        cnf.add_clause((-out_var,))
-    elif gtype is GateType.CONST1:
-        cnf.add_clause((out_var,))
-    else:
-        raise ValueError(f"cannot encode gate type {gtype}")
+    flat = []
+    cnf.num_vars = _emit_gate(flat, gtype, out_var, in_vars, cnf.num_vars)
+    pos = 0
+    while pos < len(flat):
+        end = pos + 1 + flat[pos]
+        cnf.add_clause(flat[pos + 1:end])
+        pos = end
 
 
 def encode_into_solver(solver, circuit, shared_vars, fix=None, suffix="",
@@ -128,47 +135,49 @@ def encode_into_solver(solver, circuit, shared_vars, fix=None, suffix="",
     local allocation persistent: copy-local variables are looked up by
     their qualified name ``signal + suffix``, so a persistent caller's
     allocation is stable and inspectable across iterations.  Without a
-    registry the local map lives only for this call (allocation is still
-    deterministic — topological order — just not observable).
+    registry the local map lives only for this call.
+
+    Fresh variables are numbered in topological order: each gate's
+    output, then its XOR chain steps.  The whole copy — gate clauses and
+    the unit clauses of ``fix``, in that order per signal — is written
+    to one flat ``[size, lit, ...]*`` buffer; the solver grows its
+    variables once and takes the buffer with one
+    :meth:`~repro.sat.solver.Solver.add_clauses` call, leaving the same
+    state as adding the clauses one by one.
 
     This is the workhorse of the incremental attacks (SAT attack, DDIP,
     AppSAT) and the QBF CEGAR loop, which all grow one formula by
     repeatedly instantiating circuit copies.
     """
-    from ..netlist.gate import GateType as _GT
-
-    local = {}
-
-    def var_for(name):
-        if name in shared_vars:
-            return shared_vars[name]
-        key = name + suffix
-        if registry is not None:
-            return registry.var(key)
-        if key not in local:
-            local[key] = solver.new_var()
-        return local[key]
-
     fix = fix or {}
     skip_gates = set(skip_gates)
+    names = registry._vars if registry is not None else {}
+    top = solver.num_vars
+    flat = []
     varmap = {}
     for name in circuit.topological_order():
         gate = circuit.gate(name)
-        out_var = var_for(name)
-        varmap[name] = out_var
-        if gate.gtype is _GT.INPUT:
+        out = shared_vars.get(name)
+        if out is None:
+            key = name + suffix
+            out = names.get(key)
+            if out is None:
+                top += 1
+                out = names[key] = top
+        varmap[name] = out
+        gtype = gate.gtype
+        if gtype is GateType.INPUT:
             if name in fix:
-                solver.add_clause([out_var if fix[name] else -out_var])
+                flat += (1, out if fix[name] else -out)
             continue
         if name in skip_gates:
             # Already defined in the solver (shared across copies).
             continue
-        cnf = CNF()
-        cnf.num_vars = solver.num_vars
-        encode_gate_clauses(cnf, gate.gtype, out_var, [var_for(s) for s in gate.fanins])
-        solver.ensure_vars(cnf.num_vars)
-        for clause in cnf.clauses:
-            solver.add_clause(clause)
+        top = _emit_gate(
+            flat, gtype, out, [varmap[s] for s in gate.fanins], top
+        )
+    solver.ensure_vars(top)
+    solver.add_clauses(flat)
     return varmap
 
 

@@ -125,6 +125,15 @@ class _RecordingSolver(Solver):
         self.events.append(("clause", tuple(literals)))
         return super().add_clause(literals)
 
+    def add_clauses(self, flat):
+        # The bulk intake the circuit encoders use: record each clause.
+        pos = 0
+        while pos < len(flat):
+            end = pos + 1 + flat[pos]
+            self.events.append(("clause", tuple(flat[pos + 1:end])))
+            pos = end
+        return super().add_clauses(flat)
+
     def solve(self, assumptions=(), max_conflicts=None, time_limit=None):
         status = super().solve(
             assumptions, max_conflicts=max_conflicts, time_limit=time_limit
