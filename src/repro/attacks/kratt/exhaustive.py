@@ -53,8 +53,9 @@ def _completions(assignment, ppis, cap):
     unspecified = [p for p in ppis if assignment.get(p) is None]
     total = 1 << len(unspecified) if len(unspecified) < 63 else cap + 1
     count = min(total, cap)
+    specified = {p: assignment[p] for p in ppis if assignment.get(p) is not None}
     for value in range(count):
-        full = {p: assignment[p] for p in ppis if assignment.get(p) is not None}
+        full = dict(specified)
         for i, p in enumerate(unspecified):
             full[p] = (value >> i) & 1
         yield full
@@ -91,12 +92,22 @@ def _verify_key(locked, key_inputs, key, oracle, samples=128, extra_patterns=())
     return True
 
 
-def _pattern_key(ppi_values, ppis, key_of_ppi, key_inputs):
-    """Key assignment mirroring the candidate pattern via the association."""
-    key = {k: 0 for k in key_inputs}
+def _key_sources(ppis, key_of_ppi):
+    """Key input -> the PPI whose value it mirrors: the first key each
+    PPI is associated with (the last such PPI wins)."""
+    source = {}
     for ppi in ppis:
         for k in key_of_ppi.get(ppi, ())[:1]:
-            key[k] = int(ppi_values[ppi])
+            source[k] = ppi
+    return source
+
+
+def _mirrored_key(key_inputs, key_source, values):
+    """Key assignment mirroring PPI ``values`` through the association
+    (key inputs no PPI claims stay False)."""
+    key = dict.fromkeys(key_inputs, False)
+    for k, ppi in key_source.items():
+        key[k] = bool(values[ppi])
     return key
 
 
@@ -132,6 +143,15 @@ def og_exhaustive_search(
     # the native backend's organic run threshold (cost model still rules).
     engine.ensure_native()
     locked_outputs = engine.output_names
+    # Where each locked-netlist input takes its bit (paper step 7): a
+    # data input that is a PPI from that PPI, every other data input
+    # from logic 0, and each key input from the PPI it is associated
+    # with (key inputs no PPI claims stay 0).
+    key_source = _key_sources(ppis, key_of_ppi)
+    ppi_set = set(ppis)
+    source = {s: s for s in data_inputs if s in ppi_set}
+    source.update(key_source)
+    input_sources = [source.get(name) for name in engine.input_names]
 
     result = OgSearchResult()
     queries_before = oracle.query_count
@@ -163,18 +183,19 @@ def og_exhaustive_search(
         result.patterns_tested += len(batch)
 
         # One oracle query and one locked-netlist evaluation per pattern,
-        # keys set through the PPI/key association (paper step 7).
-        oracle_patterns = []
-        locked_patterns = []
-        for ppi_values in batch:
-            data = {s: ppi_values.get(s, 0) for s in data_inputs}
-            oracle_patterns.append(data)
-            full = dict(data)
-            full.update(_pattern_key(ppi_values, ppis, key_of_ppi, key_inputs))
-            locked_patterns.append(full)
-        oracle_out = oracle.query_batch(oracle_patterns)
-        words, mask = engine.pack_input_words(locked_patterns)
-        locked_words = engine.output_words_from_list(words, mask)
+        # keys set through the PPI/key association (paper step 7).  The
+        # oracle drives its inputs outside the pattern to logic 0; the
+        # locked netlist's input words come straight from the PPI bits.
+        oracle_out = oracle.query_batch(batch)
+        ppi_words = dict.fromkeys(ppis, 0)
+        for j, ppi_values in enumerate(batch):
+            for ppi, value in ppi_values.items():
+                if value:
+                    ppi_words[ppi] |= 1 << j
+        mask = (1 << len(batch)) - 1
+        locked_words = engine.output_words_from_list(
+            [ppi_words.get(src, 0) for src in input_sources], mask
+        )
 
         for j, ppi_values in enumerate(batch):
             match = all(
@@ -186,12 +207,7 @@ def og_exhaustive_search(
                 if not match:
                     continue
                 # Match => p is the protected pattern and the secret key.
-                key = {
-                    k: bool(v)
-                    for k, v in _pattern_key(
-                        protected, ppis, key_of_ppi, key_inputs
-                    ).items()
-                }
+                key = _mirrored_key(key_inputs, key_source, protected)
                 result.protected_patterns.append(protected)
                 if _verify_key(locked, key_inputs, key, oracle):
                     result.key = key
@@ -259,15 +275,13 @@ def infer_key_from_hd_constraints(
     for root in roots:
         solver.add_clause([varmap[root]])
 
+    key_source = _key_sources(ppis, key_of_ppi)
     for _ in range(max_solutions):
         status = solver.solve(max_conflicts=500_000, time_limit=time_limit)
         if status is not True:
             return None
         center = {ppi: solver.model_value(varmap[svars[ppi]]) for ppi in ppis}
-        key = {k: False for k in key_inputs}
-        for ppi in ppis:
-            for k in key_of_ppi.get(ppi, ())[:1]:
-                key[k] = center[ppi]
+        key = _mirrored_key(key_inputs, key_source, center)
         if _verify_key(locked, key_inputs, key, oracle):
             return key
         solver.add_clause(

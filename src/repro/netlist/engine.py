@@ -433,16 +433,25 @@ class CompiledCircuit:
         if width == 0:
             raise ValueError("pack_input_words needs at least one pattern")
         mask = (1 << width) - 1
-        words = []
-        for name in self.input_names:
-            if fixed is not None and name in fixed:
-                words.append(mask if fixed[name] else 0)
-                continue
-            word = 0
-            for j, pattern in enumerate(patterns):
-                if pattern.get(name, default):
-                    word |= 1 << j
-            words.append(word)
+        slot = {name: i for i, name in enumerate(self.input_names)}
+        # One pass over the entries the patterns hold, not one lookup
+        # per (input, pattern) pair: mark the bits that differ from
+        # ``default``.  Sparse patterns pack in O(entries) instead of
+        # O(inputs x patterns).
+        default = bool(default)
+        flips = [0] * len(slot)
+        for j, pattern in enumerate(patterns):
+            for name, value in pattern.items():
+                if (not value) == default:
+                    i = slot.get(name)
+                    if i is not None:
+                        flips[i] |= 1 << j
+        words = [mask ^ f for f in flips] if default else flips
+        if fixed is not None:
+            for name, value in fixed.items():
+                i = slot.get(name)
+                if i is not None:
+                    words[i] = mask if value else 0
         return words, mask
 
     def output_words_from_list(self, input_words, mask):

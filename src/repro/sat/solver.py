@@ -40,7 +40,18 @@ dominated analysis time on large instances); and the learned-clause
 arena — clause activities and the database limit — survives across
 ``solve()`` calls, so the assumption-driven call patterns the attacks
 generate (CEGAR refinement, SCOPE windows, DIP mining) keep their
-learned heat instead of re-deriving it every call.
+learned heat instead of re-deriving it every call.  The VSIDS order
+heap holds one live entry per variable: ``_queued[var]`` is the
+activity of that entry, ``_backtrack`` pushes a variable only when its
+activity differs from it, and popping the live entry clears it.  A
+solve pushes only the variables added since the last one (a full
+rebuild follows only an activity rescale), stale entries are dropped
+once the heap outgrows ``2 * num_vars + 64``, and branching stops as
+soon as the trail covers every variable instead of draining the heap.
+A pick still returns the best *valid* entry (unassigned, at its current
+activity) and that set is exactly the one a per-solve rebuild with a
+push on every backtrack keeps — rescale quirk included — so the
+branching order is unchanged (``tests/test_branching_order.py``).
 
 ``solve`` returns one of three values:
 
@@ -119,7 +130,9 @@ def luby(i):
 
 
 class SolveResult:
-    """Outcome of a :meth:`Solver.solve` call with statistics."""
+    """Outcome of one :meth:`Solver.solve` call: its status and the
+    conflicts, decisions and propagations of that call alone (the
+    running totals live on the :class:`Solver`)."""
 
     def __init__(self, status, conflicts, decisions, propagations, elapsed):
         self.status = status
@@ -158,6 +171,9 @@ class Solver:
         self._trail_lim = []
         self._qhead = 0
         self._order_heap = []
+        self._queued = [None]  # by var: activity of its live heap entry
+        self._heap_vars = 0  # vars 1..n already handed to the heap
+        self._rescaled = False  # activity rescale since the last rebuild
         # ``native=None`` auto-engages the C propagation core when it is
         # enabled and buildable; False pins the pure-Python loops (the
         # REPRO_NATIVE=0 behavior); True requests it but still degrades
@@ -204,6 +220,7 @@ class Solver:
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
+        self._queued.append(None)
         self._phase.append(0)
         self._seen.append(0)
         self._watches.append([])
@@ -227,6 +244,7 @@ class Solver:
             self._level = core.level
             self._phase = core.phase
         self._activity.extend([0.0] * grow)
+        self._queued.extend([None] * grow)
         self._seen.extend(b"\x00" * grow)
         self._num_vars = n
 
@@ -399,26 +417,35 @@ class Solver:
             return
         bound = self._trail_lim[level]
         core = self._native
+        activity = self._activity
+        queued = self._queued
+        heap = self._order_heap
         if core is not None:
             # C pops the trail (phase save, clear assign/reason, queue
             # reset) and reports the vars in reverse trail order — the
             # exact heap push sequence of the Python loop below.
             n_popped = core.backtrack(bound)
-            activity = self._activity
-            heap = self._order_heap
             for var in core.popped[:n_popped]:
-                heappush(heap, (-activity[var], var))
+                act = activity[var]
+                if queued[var] != act:
+                    queued[var] = act
+                    heappush(heap, (-act, var))
             del self._trail_lim[level:]
-            return
-        for i in range(len(self._trail) - 1, bound - 1, -1):
-            var = self._trail[i] >> 1
-            self._phase[var] = self._assign[var]
-            self._assign[var] = _UNASSIGNED
-            self._reason[var] = None
-            heappush(self._order_heap, (-self._activity[var], var))
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+        else:
+            for i in range(len(self._trail) - 1, bound - 1, -1):
+                var = self._trail[i] >> 1
+                self._phase[var] = self._assign[var]
+                self._assign[var] = _UNASSIGNED
+                self._reason[var] = None
+                act = activity[var]
+                if queued[var] != act:
+                    queued[var] = act
+                    heappush(heap, (-act, var))
+            del self._trail[bound:]
+            del self._trail_lim[level:]
+            self._qhead = len(self._trail)
+        if len(heap) > 2 * self._num_vars + 64:
+            self._rebuild_heap(revive=False)
 
     # ------------------------------------------------------------------
     # propagation
@@ -544,6 +571,7 @@ class Solver:
             for v in range(1, self._num_vars + 1):
                 self._activity[v] *= 1e-100
             self._var_inc *= 1e-100
+            self._rescaled = True
 
     def _bump_clause(self, handle):
         clause_act = self._clause_act
@@ -643,27 +671,66 @@ class Solver:
     # search
     # ------------------------------------------------------------------
     def _pick_branch_var(self):
+        if len(self._trail) == self._num_vars:
+            return None  # full assignment: nothing to pop
         heap = self._order_heap
         assign = self._assign
         activity = self._activity
+        queued = self._queued
         while heap:
             neg_act, var = heappop(heap)
-            if assign[var] == _UNASSIGNED and -neg_act == activity[var]:
+            act = -neg_act
+            if act == queued[var]:
+                queued[var] = None
+            if assign[var] == _UNASSIGNED and act == activity[var]:
                 return var
+        # Only after a rescale mid-solve: the stale variables wait here
+        # until a backtrack re-queues them or the next solve revives them.
         for var in range(1, self._num_vars + 1):
-            if self._assign[var] == _UNASSIGNED:
+            if assign[var] == _UNASSIGNED:
                 return var
         return None
 
-    def _rebuild_heap(self):
+    def _rebuild_heap(self, revive):
+        """One heap entry per unassigned variable whose live entry is
+        current — with ``revive``, per unassigned variable, the heap a
+        solve starts from.  Without it the valid entries (and so the
+        branching order) are exactly those before the call."""
+        activity = self._activity
+        assign = self._assign
+        queued = self._queued
         heap = self._order_heap
         heap.clear()
-        heap.extend(
-            (-self._activity[v], v)
-            for v in range(1, self._num_vars + 1)
-            if self._assign[v] == _UNASSIGNED
-        )
+        for v in range(1, self._num_vars + 1):
+            act = activity[v]
+            if assign[v] == _UNASSIGNED and (revive or queued[v] == act):
+                heap.append((-act, v))
+                queued[v] = act
+            else:
+                queued[v] = None
         heap.sort()
+        if revive:
+            self._heap_vars = self._num_vars
+            self._rescaled = False
+
+    def _queue_new_vars(self):
+        """Bring the order heap to solve-start state: every unassigned
+        variable has a valid entry.  Backtracking keeps that true except
+        for the variables added since the last solve and, after an
+        activity rescale, the stale ones — only the latter cost a
+        rebuild."""
+        if self._rescaled:
+            self._rebuild_heap(revive=True)
+            return
+        heap = self._order_heap
+        assign = self._assign
+        queued = self._queued
+        for v in range(self._heap_vars + 1, self._num_vars + 1):
+            if assign[v] == _UNASSIGNED:
+                act = self._activity[v]
+                queued[v] = act
+                heappush(heap, (-act, v))
+        self._heap_vars = self._num_vars
 
     def _record_learnt(self, learnt):
         """Store a learnt clause (len >= 2); returns its handle — the
@@ -758,9 +825,9 @@ class Solver:
         conflict-free instances.
         """
         start = time.monotonic()
-        start_conflicts = self.conflicts
+        since = (self.conflicts, self.decisions, self.propagations)
         if not self._ok:
-            self.last_result = SolveResult(False, 0, 0, 0, 0.0)
+            self._record(False, start, since)
             return False
 
         deadline = Deadline.of(time_limit)
@@ -776,25 +843,36 @@ class Solver:
         self._budget_hit = False
         try:
             return self._search(
-                enc_assumptions, deadline, max_conflicts, start, start_conflicts
+                enc_assumptions, deadline, max_conflicts, start, since
             )
         finally:
             self._deadline = None
             self._budget_hit = False
 
-    def _search(self, enc_assumptions, deadline, max_conflicts, start,
-                start_conflicts):
+    def _record(self, status, start, since):
+        """Set :attr:`last_result`: the work of this call alone."""
+        conflicts, decisions, propagations = since
+        self.last_result = SolveResult(
+            status,
+            self.conflicts - conflicts,
+            self.decisions - decisions,
+            self.propagations - propagations,
+            time.monotonic() - start,
+        )
+
+    def _search(self, enc_assumptions, deadline, max_conflicts, start, since):
+        start_conflicts = since[0]
         self._backtrack(0)
         conflict = self._propagate()
         if conflict is not None:
             self._ok = False
-            self.last_result = SolveResult(False, 0, 0, 0, time.monotonic() - start)
+            self._record(False, start, since)
             return False
         if self._budget_hit:
-            self.last_result = SolveResult(None, 0, 0, 0, time.monotonic() - start)
+            self._record(None, start, since)
             return None
 
-        self._rebuild_heap()
+        self._queue_new_vars()
         # Warm learned-clause arena: the DB limit (like the clause
         # activities) persists across solve() calls, so an incremental
         # caller's learnt set is not re-thrashed from the initial limit
@@ -885,7 +963,6 @@ class Solver:
             enc = (var << 1) | (self._phase[var] != 1)
             self._enqueue(enc, None)
 
-        elapsed = time.monotonic() - start
         if status is True:
             self._model = list(self._assign)
             result = True
@@ -896,13 +973,7 @@ class Solver:
             self._model = None
             result = None
         self._backtrack(0)
-        self.last_result = SolveResult(
-            result,
-            self.conflicts - start_conflicts,
-            self.decisions,
-            self.propagations,
-            elapsed,
-        )
+        self._record(result, start, since)
         return result
 
     # ------------------------------------------------------------------

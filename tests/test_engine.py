@@ -204,6 +204,36 @@ class TestCompiledCache:
         with pytest.raises(ValueError):
             engine.pack_input_words([])
 
+    @pytest.mark.parametrize("default", [0, 1])
+    def test_pack_input_words_sparse_patterns(self, default):
+        """Partial patterns, names the engine lacks, truthy non-0/1
+        values and ``fixed`` pack exactly as one ``get`` per (input,
+        pattern) pair would."""
+        import random
+
+        circuit = build_random_circuit(n_inputs=9, n_gates=20, seed=27)
+        engine = circuit.compiled()
+        rng = random.Random(27)
+        names = list(circuit.inputs) + ["not_an_input"]
+        patterns = [
+            {s: rng.choice([0, 1, 2, None, True, False])
+             for s in rng.sample(names, rng.randint(0, len(names)))}
+            for _ in range(11)
+        ]
+        fixed = {circuit.inputs[3]: 0, "not_an_input": 1}
+        words, mask = engine.pack_input_words(patterns, fixed=fixed,
+                                              default=default)
+        expected = []
+        for name in engine.input_names:
+            if name in fixed:
+                expected.append(mask if fixed[name] else 0)
+                continue
+            expected.append(sum(
+                1 << j for j, p in enumerate(patterns)
+                if p.get(name, default)
+            ))
+        assert (words, mask) == (expected, (1 << 11) - 1)
+
     def test_copy_does_not_share_cache(self):
         circuit = build_random_circuit(n_inputs=4, n_gates=8, seed=23)
         circuit.compiled()

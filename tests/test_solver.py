@@ -160,6 +160,33 @@ class TestAgainstBruteForce:
         assert result == expected
 
 
+class TestSolveResult:
+    @pytest.mark.parametrize("native", [False, True])
+    def test_counts_are_per_call_on_a_warm_solver(self, native):
+        """``last_result`` counts one call's work: conflicts, decisions
+        and propagations alike, never the solver's running totals."""
+        import random
+
+        rng = random.Random("solve-result")
+        s = Solver(native=native)
+        for _ in range(150):
+            chosen = rng.sample(range(1, 41), 3)
+            s.add_clause([v if rng.random() < 0.5 else -v for v in chosen])
+        for assumptions in ((), (1, -2, 3)):
+            before = s.stats_snapshot()
+            s.solve(assumptions)
+            after = s.stats_snapshot()
+            result = s.last_result
+            assert result.decisions > 0
+            assert (result.conflicts, result.decisions, result.propagations) == (
+                after["conflicts"] - before["conflicts"],
+                after["decisions"] - before["decisions"],
+                after["propagations"] - before["propagations"],
+            )
+        assert result.decisions < s.decisions
+        assert result.propagations < s.propagations
+
+
 class TestSolveCnf:
     def test_one_shot(self):
         cnf = CNF()
