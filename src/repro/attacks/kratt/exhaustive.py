@@ -186,7 +186,7 @@ def og_exhaustive_search(
         # keys set through the PPI/key association (paper step 7).  The
         # oracle drives its inputs outside the pattern to logic 0; the
         # locked netlist's input words come straight from the PPI bits.
-        oracle_out = oracle.query_batch(batch)
+        oracle_words = oracle.query_batch(batch, words=True)
         ppi_words = dict.fromkeys(ppis, 0)
         for j, ppi_values in enumerate(batch):
             for ppi, value in ppi_values.items():
@@ -197,15 +197,17 @@ def og_exhaustive_search(
             [ppi_words.get(src, 0) for src in input_sources], mask
         )
 
-        for j, ppi_values in enumerate(batch):
-            match = all(
-                ((word >> j) & 1) == oracle_out[j][o]
-                for o, word in zip(locked_outputs, locked_words)
-            )
-            protected = {p: ppi_values[p] for p in ppis}
+        # Bit j of ``differ`` is set iff pattern j's outputs differ
+        # somewhere; walk only the patterns that matter, in batch order.
+        differ = 0
+        for o, word in zip(locked_outputs, locked_words):
+            differ |= word ^ oracle_words[o]
+        hits = (differ if h else ~differ) & mask
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            protected = {p: batch[low.bit_length() - 1][p] for p in ppis}
             if h == 0:
-                if not match:
-                    continue
                 # Match => p is the protected pattern and the secret key.
                 key = _mirrored_key(key_inputs, key_source, protected)
                 result.protected_patterns.append(protected)
@@ -214,8 +216,6 @@ def og_exhaustive_search(
                     done = True
                     break
             else:
-                if match:
-                    continue
                 # Mismatch => p lies on the protected Hamming shell.
                 result.protected_patterns.append(protected)
                 needed = min_hd_constraints or max(8, 2 * len(ppis) // 3)

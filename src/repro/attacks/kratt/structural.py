@@ -25,14 +25,19 @@ from ...sat.tseitin import encode_into_solver
 __all__ = ["candidate_pattern_sets", "enumerate_cone_patterns"]
 
 
-def enumerate_cone_patterns(subcircuit, root, value, ppis, limit=4):
+def enumerate_cone_patterns(subcircuit, root, value, ppis, limit=4,
+                            cone=None):
     """Up to ``limit`` assignments of the cone's PPIs with root == value.
 
     Each returned dict assigns 0/1 to the PPIs in the cone's support and
     ``None`` (X) to every other PPI.  Solutions are enumerated with
-    blocking clauses over the support variables.
+    blocking clauses over the support variables, in a fresh solver per
+    call.  ``cone`` is ``extract_cone(subcircuit, root)`` when the
+    caller already has it: both values of a root share one cone, whose
+    topological order is then computed once.
     """
-    cone = extract_cone(subcircuit, root)
+    if cone is None:
+        cone = extract_cone(subcircuit, root)
     ppi_set = set(ppis)
     support = [s for s in cone.inputs if s in ppi_set]
     if not support:
@@ -87,9 +92,11 @@ def candidate_pattern_sets(subcircuit, ppis, per_cone_limit=2, min_support=2,
             candidates.append(assignment)
 
     for root in roots:
+        cone = extract_cone(subcircuit, root)
         for value in (0, 1):
             for pattern in enumerate_cone_patterns(
-                subcircuit, root, value, ppis, limit=per_cone_limit
+                subcircuit, root, value, ppis, limit=per_cone_limit,
+                cone=cone,
             ):
                 push(pattern)
 

@@ -75,24 +75,28 @@ class Oracle:
             name: word & 1 for name, word in zip(engine.output_names, out_words)
         }
 
-    def query_batch(self, patterns, defaults=0):
+    def query_batch(self, patterns, defaults=0, words=False):
         """Apply many patterns in one bit-parallel pass.
 
         ``patterns`` is a sequence of (possibly partial) assignments;
-        returns a list of output dicts, one per pattern.  Counts as
-        ``len(patterns)`` queries.
+        returns a list of output dicts, one per pattern — or, with
+        ``words``, one dict of output name -> word whose bit ``j`` is
+        that output under ``patterns[j]``.  Counts as ``len(patterns)``
+        queries.
         """
         if not patterns:
-            return []
+            return {} if words else []
         engine, _ = self._prepared()
         # An oracle is queried for the whole life of an attack: let the
         # native backend engage now (its cost model still applies) rather
         # than after the organic run threshold.
         engine.ensure_native()
-        words, mask = engine.pack_input_words(patterns, default=defaults)
+        in_words, mask = engine.pack_input_words(patterns, default=defaults)
         self.query_count += len(patterns)
-        out_words = engine.output_words_from_list(words, mask)
+        out_words = engine.output_words_from_list(in_words, mask)
         outputs = engine.output_names
+        if words:
+            return dict(zip(outputs, out_words))
         return [
             {o: (word >> j) & 1 for o, word in zip(outputs, out_words)}
             for j in range(len(patterns))

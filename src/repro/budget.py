@@ -109,6 +109,13 @@ class Deadline:
         """Whether this deadline can ever expire."""
         return self._expires_at != _NEVER
 
+    @property
+    def monotonic(self):
+        """Whether this deadline reads :func:`time.monotonic` rather than
+        an injected clock — so native code can time it with its own
+        monotonic clock, given :meth:`remaining`."""
+        return self._clock is time.monotonic
+
     def now(self):
         """Current reading of the underlying monotonic clock."""
         return self._clock()

@@ -9,6 +9,13 @@ directory, loaded through ``ctypes``, and degrading silently to the
 pure-Python implementation on any failure.  This module is that shared
 lifecycle, factored out so the two components stay independent:
 
+* **Content addresses cover the whole build.** A library's digest
+  hashes its source together with the compiler path and the extra
+  flags, so a build under other ``REPRO_NATIVE_CFLAGS`` (a sanitizer
+  build, say) or another compiler lands in its own cache entry: it
+  never loads an ``-O3`` library built before it, and default runs
+  never load it.
+
 * **Per-component gates.** ``REPRO_NATIVE=0`` is the master switch that
   disables everything; ``REPRO_NATIVE_SIM=0`` / ``REPRO_NATIVE_SOLVER=0``
   disable one component without touching the other.
@@ -35,7 +42,8 @@ Knobs (all shared across components unless noted):
 ``REPRO_NATIVE_CACHE_DIR=<dir>``
     Where compiled libraries are published.
 ``REPRO_NATIVE_CFLAGS``
-    Extra compiler flags (appended after the default ``-O3``).
+    Extra compiler flags (appended after the default ``-O3``; part of
+    the cache key).
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ __all__ = [
     "native_available",
     "compiler_info",
     "cache_dir",
+    "extra_flags",
     "compile_and_publish",
     "load_library",
     "source_digest",
@@ -129,13 +138,21 @@ def cache_dir():
     return os.environ.get("REPRO_NATIVE_CACHE_DIR") or DEFAULT_CACHE_DIR
 
 
-def source_digest(source):
-    """Content address of a C translation unit."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+def extra_flags():
+    """The extra compiler flags from ``REPRO_NATIVE_CFLAGS``, split."""
+    return os.environ.get("REPRO_NATIVE_CFLAGS", "").split()
 
 
-def compile_and_publish(source, digest, cc, directory):
-    """Compile ``source`` and atomically publish ``<digest>.so``.
+def source_digest(source, cc=None, flags=()):
+    """Content address of a C translation unit built by ``cc`` with the
+    extra ``flags``."""
+    build = "\0".join([cc or "", *flags])
+    return hashlib.sha256(f"{source}\0{build}".encode("utf-8")).hexdigest()
+
+
+def compile_and_publish(source, digest, cc, directory, flags=()):
+    """Compile ``source`` with the extra ``flags`` and atomically
+    publish ``<digest>.so``.
 
     Returns the published path.  Raises :class:`NativeUnavailable` with
     the captured compiler diagnostics on failure; temporary files are
@@ -153,10 +170,7 @@ def compile_and_publish(source, digest, cc, directory):
             handle.write(source)
         # -O3, not -O2: gcc 12 only autovectorizes the lane loops at -O3,
         # and vectorization is most of the point.
-        cmd = [cc, "-O3", "-fPIC", "-shared", "-o", so_tmp, c_tmp]
-        extra = os.environ.get("REPRO_NATIVE_CFLAGS")
-        if extra:
-            cmd[2:2] = extra.split()
+        cmd = [cc, "-O3", *flags, "-fPIC", "-shared", "-o", so_tmp, c_tmp]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             raise NativeUnavailable(
@@ -199,7 +213,9 @@ def load_library(component, source, configure, directory=None, cc=None):
             f"disabled via REPRO_NATIVE / REPRO_NATIVE_{component.upper()}"
         )
     directory = directory or cache_dir()
-    digest = source_digest(source)
+    cc = cc or find_compiler()
+    flags = extra_flags()
+    digest = source_digest(source, cc, flags)
     key = (component, directory, digest)
     cached = _LIB_CACHE.get(key)
     if cached is not None:
@@ -214,7 +230,6 @@ def load_library(component, source, configure, directory=None, cc=None):
 
     so_path = os.path.join(directory, f"{digest}.so")
     try:
-        cc = cc or find_compiler()
         if cc is None:
             raise NativeUnavailable("no C compiler found (cc/gcc/clang)")
         if os.path.exists(so_path):
@@ -227,10 +242,10 @@ def load_library(component, source, configure, directory=None, cc=None):
                     os.unlink(so_path)
                 except OSError:
                     pass
-                compile_and_publish(source, digest, cc, directory)
+                compile_and_publish(source, digest, cc, directory, flags)
                 lib = load(so_path)
         else:
-            compile_and_publish(source, digest, cc, directory)
+            compile_and_publish(source, digest, cc, directory, flags)
             lib = load(so_path)
     except NativeUnavailable as exc:
         _LIB_CACHE[key] = exc

@@ -1,4 +1,4 @@
-"""A CDCL SAT solver in pure Python (MiniSat-style).
+"""A CDCL SAT solver (MiniSat-style), in Python with a C search core.
 
 This is the reproduction's substitute for cryptominisat [30]: a
 conflict-driven clause-learning solver with two-literal watching, 1-UIP
@@ -16,18 +16,20 @@ clause checked before the clause is touched at all — most watch visits
 end there), and propagation compacts each watch list in place with a
 read/write cursor instead of rebuilding it.
 
-When the native propagation core (:mod:`repro.sat.native`) is available
-it takes over the propagation-rate-bound state behind the same encoded
-literal API: clauses live in a contiguous C arena (named by arena
-offsets instead of list objects), the watch lists / trail / assignment
-arrays are flat C buffers, and ``_propagate``, clause intake (one call
-per :meth:`Solver.add_clauses` buffer), learnt attach, and trail
-backjump cross into C.  Decide / analyze / 1-UIP / restart logic stays
-in this file, reading the C state through zero-copy ``ctypes`` views.
-The two modes are bit-identical by construction — same propagation
-counts, same learnt clauses, same models — and ``Solver(native=False)``
-(or ``REPRO_NATIVE=0`` / ``REPRO_NATIVE_SOLVER=0``, or any compile
-failure) runs today's pure-Python loops untouched.
+When the native search core (:mod:`repro.sat.native`) is available,
+one :meth:`Solver.solve` is one C call: decisions, propagation, 1-UIP
+analysis, backjumping, restarts and learnt-database reduction all run
+there, over C-owned clauses, watch lists, trail, order heap and learnt
+activities.  The C loop mirrors the Python one routine for routine, so
+the two modes are bit-identical — same propagation counts, same learnt
+clauses, same models — and ``Solver(native=False)`` (or
+``REPRO_NATIVE=0`` / ``REPRO_NATIVE_SOLVER=0``, or any compile failure)
+runs the pure-Python loops in this file, which stay the reference.
+A bounded deadline is probed at the same points in both modes: before
+every decision, every ``_PROPS_PER_TIME_CHECK`` trail pops and every
+``_CONFLICTS_PER_TIME_CHECK`` conflicts — by the C core's own monotonic
+clock, or, for a deadline on an injected clock, by pausing the C search
+so Python reads it.
 
 Allocation discipline: the hot loops reuse memory instead of
 reallocating it.  Watch entries are two-slot lists that *migrate*
@@ -68,6 +70,7 @@ import time
 from heapq import heappop, heappush
 
 from ..budget import Deadline
+from . import native as sat_native
 
 __all__ = ["Solver", "SolveResult", "luby"]
 
@@ -80,37 +83,32 @@ _UNASSIGNED = -1
 _PROPS_PER_TIME_CHECK = 4096
 _NEVER_CHECK = float("inf")
 
-#: Stride for native propagation with no deadline: one C call drains the
-#: whole queue (2**62 pops is unreachable).
-_UNBOUNDED_PROPS = 1 << 62
+#: Conflicts between deadline probes in the search loop.
+_CONFLICTS_PER_TIME_CHECK = 64
 
 _UNIT_ABOVE_ROOT = "unit clauses must be added at decision level 0"
 
 
-def _identity(clause):
-    """Python-mode clause handle -> literals: the handle IS the list."""
-    return clause
+class _CoreArray:
+    """Read-only ``list``-shaped window over one of the native core's
+    arrays — the trail, or the problem-clause / learnt refs — so
+    ``solver._trail``, ``solver._clauses`` and ``solver._learnts`` read
+    the same in both modes."""
 
+    __slots__ = ("_core", "_name")
 
-class _TrailView:
-    """Read-only ``list``-shaped window over the native core's trail.
-
-    The search/analysis code indexes and measures the trail
-    (``trail[i]``, ``len(trail)``); in native mode those hit the C
-    buffer through this shim so the surrounding logic is shared
-    verbatim with the Python mode.
-    """
-
-    __slots__ = ("_core",)
-
-    def __init__(self, core):
+    def __init__(self, core, name):
         self._core = core
+        self._name = name
 
     def __len__(self):
-        return self._core.trail_len()
+        return len(self._core.array(self._name))
 
     def __getitem__(self, index):
-        return self._core.trail[index]
+        return self._core.array(self._name)[index]
+
+    def __iter__(self):
+        return iter(self._core.array(self._name))
 
 
 def luby(i):
@@ -159,7 +157,7 @@ class Solver:
 
     def __init__(self, native=None):
         self._num_vars = 0
-        self._clauses = []  # native mode: arena refs instead of lists
+        self._clauses = []
         self._learnts = []
         self._watches = [[], []]  # indexed by encoded literal; slots 0/1 unused
         self._assign = [_UNASSIGNED]  # by var; -1 / 0 / 1
@@ -174,23 +172,6 @@ class Solver:
         self._queued = [None]  # by var: activity of its live heap entry
         self._heap_vars = 0  # vars 1..n already handed to the heap
         self._rescaled = False  # activity rescale since the last rebuild
-        # ``native=None`` auto-engages the C propagation core when it is
-        # enabled and buildable; False pins the pure-Python loops (the
-        # REPRO_NATIVE=0 behavior); True requests it but still degrades
-        # silently — check :attr:`backend` to see what engaged.
-        self._native = None
-        if native is None or native:
-            from . import native as sat_native
-
-            core = sat_native.build_core()
-            if core is not None:
-                self._native = core
-                self._assign = core.assign
-                self._level = core.level
-                self._phase = core.phase
-                self._reason = None  # C-owned; use core.reason_of
-                self._watches = None  # C-owned
-                self._trail = _TrailView(core)
         self._var_inc = 1.0
         self._var_decay = 1.0 / 0.95
         self._cla_inc = 1.0
@@ -201,6 +182,26 @@ class Solver:
         self._seen = bytearray(1)  # conflict-analysis marks, by var
         self._clause_act = {}  # id(learnt clause) -> activity, warm
         self._max_learnts = 0  # learned-DB limit, grows monotonically
+        # ``native=None`` auto-engages the C search core when it is
+        # enabled and buildable; False pins the pure-Python loops (the
+        # REPRO_NATIVE=0 behavior); True requests it but still degrades
+        # silently — check :attr:`backend` to see what engaged.  The core
+        # owns the clauses, trail and heuristic state; only the views
+        # below and the activity increments stay on this side.
+        self._native = None
+        if native is None or native:
+            core = sat_native.build_core()
+            if core is not None:
+                self._native = core
+                self._assign = core.assign
+                self._clauses = _CoreArray(core, "clauses")
+                self._learnts = _CoreArray(core, "learnts")
+                self._trail = _CoreArray(core, "trail")
+                self._level = self._reason = self._watches = None
+                self._activity = self._phase = self._queued = None
+                self._order_heap = self._trail_lim = self._clause_act = None
+                self._seen = core.seen
+                self._new_decision_level = core.new_decision_level
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
@@ -236,16 +237,11 @@ class Solver:
             return
         if n <= self._num_vars:
             return
-        grow = n - self._num_vars
         if core.ensure_vars(n):
             # The C buffers moved: rebind the zero-copy views (the old
             # ones dangle over freed memory).
             self._assign = core.assign
-            self._level = core.level
-            self._phase = core.phase
-        self._activity.extend([0.0] * grow)
-        self._queued.extend([None] * grow)
-        self._seen.extend(b"\x00" * grow)
+            self._seen = core.seen
         self._num_vars = n
 
     @property
@@ -364,10 +360,8 @@ class Solver:
         """Native-mode intake: one ``repro_sat_add_clauses`` call."""
         if not self._ok:
             return False
-        core = self._native
-        code, props, refs, nvars = core.add_clauses(flat, len(self._trail_lim))
+        code, props, nvars = self._native.add_clauses(flat)
         self.propagations += props
-        self._clauses.extend(refs)
         self.ensure_vars(nvars)  # rebinds the views if the C buffers moved
         if code == 0:
             return True
@@ -394,11 +388,8 @@ class Solver:
     # trail management
     # ------------------------------------------------------------------
     def _enqueue(self, enc, reason):
-        """Assign an encoded literal.  ``reason`` is a clause handle —
-        a literal list in Python mode, an arena ref in native mode — or
-        ``None`` for decisions/assumptions/units."""
-        if self._native is not None:
-            return self._native.enqueue(enc, reason, len(self._trail_lim))
+        """Assign an encoded literal.  ``reason`` is the clause (a
+        literal list) or ``None`` for decisions/assumptions/units."""
         val = self._enc_value(enc)
         if val != _UNASSIGNED:
             return val == 1
@@ -416,69 +407,28 @@ class Solver:
         if len(self._trail_lim) <= level:
             return
         bound = self._trail_lim[level]
-        core = self._native
         activity = self._activity
         queued = self._queued
         heap = self._order_heap
-        if core is not None:
-            # C pops the trail (phase save, clear assign/reason, queue
-            # reset) and reports the vars in reverse trail order — the
-            # exact heap push sequence of the Python loop below.
-            n_popped = core.backtrack(bound)
-            for var in core.popped[:n_popped]:
-                act = activity[var]
-                if queued[var] != act:
-                    queued[var] = act
-                    heappush(heap, (-act, var))
-            del self._trail_lim[level:]
-        else:
-            for i in range(len(self._trail) - 1, bound - 1, -1):
-                var = self._trail[i] >> 1
-                self._phase[var] = self._assign[var]
-                self._assign[var] = _UNASSIGNED
-                self._reason[var] = None
-                act = activity[var]
-                if queued[var] != act:
-                    queued[var] = act
-                    heappush(heap, (-act, var))
-            del self._trail[bound:]
-            del self._trail_lim[level:]
-            self._qhead = len(self._trail)
+        for i in range(len(self._trail) - 1, bound - 1, -1):
+            var = self._trail[i] >> 1
+            self._phase[var] = self._assign[var]
+            self._assign[var] = _UNASSIGNED
+            self._reason[var] = None
+            act = activity[var]
+            if queued[var] != act:
+                queued[var] = act
+                heappush(heap, (-act, var))
+        del self._trail[bound:]
+        del self._trail_lim[level:]
+        self._qhead = len(self._trail)
         if len(heap) > 2 * self._num_vars + 64:
             self._rebuild_heap(revive=False)
 
     # ------------------------------------------------------------------
     # propagation
     # ------------------------------------------------------------------
-    def _propagate_native(self):
-        """Drive the C propagation loop, preserving Deadline semantics.
-
-        With an active deadline the C core pauses every
-        ``_PROPS_PER_TIME_CHECK`` trail pops (returning ``-2`` with work
-        remaining) and the clock is probed here — the same cadence as
-        the Python loop's stride counter, so limits bind even at zero
-        conflicts.  Returns the conflict clause ref (an int, possibly
-        0) or ``None``, mirroring the Python ``_propagate``.
-        """
-        core = self._native
-        cur_level = len(self._trail_lim)
-        deadline = self._deadline
-        budget = (
-            _PROPS_PER_TIME_CHECK if deadline is not None else _UNBOUNDED_PROPS
-        )
-        while True:
-            code, props = core.propagate(cur_level, budget)
-            self.propagations += props
-            if code == -2:
-                if deadline.expired():
-                    self._budget_hit = True
-                    return None
-                continue
-            return None if code == -1 else code
-
     def _propagate(self):
-        if self._native is not None:
-            return self._propagate_native()
         trail = self._trail
         assign = self._assign
         watches = self._watches
@@ -573,9 +523,9 @@ class Solver:
             self._var_inc *= 1e-100
             self._rescaled = True
 
-    def _bump_clause(self, handle):
+    def _bump_clause(self, clause):
         clause_act = self._clause_act
-        key = handle if self._native is not None else id(handle)
+        key = id(clause)
         clause_act[key] = clause_act.get(key, 0.0) + self._cla_inc
 
     def _analyze(self, conflict):
@@ -585,27 +535,14 @@ class Solver:
         # O(num_vars) a fresh list per conflict would.
         seen = self._seen
         level = self._level
-        # Clause handles are literal lists (Python mode) or arena refs
-        # (native mode); these accessors are the only difference.  The
-        # native branch binds the raw ctypes trail view (stable for the
-        # duration: no ensure_vars mid-analyze) rather than paying a
-        # _TrailView method call per trail probe.
-        core = self._native
-        if core is not None:
-            lits_of = core.clause_lits
-            reason_of = core.reason_of
-            trail = core.trail
-            index = core.trail_len() - 1
-        else:
-            lits_of = _identity
-            reason_of = self._reason.__getitem__
-            trail = self._trail
-            index = len(trail) - 1
+        reasons = self._reason
+        trail = self._trail
+        index = len(trail) - 1
         counter = 0
         p = -1  # sentinel: first round analyzes the whole conflict clause
         current_level = len(self._trail_lim)
 
-        clause = lits_of(conflict)
+        clause = conflict
         while True:
             skip = p ^ 1
             for q in clause:
@@ -629,7 +566,7 @@ class Solver:
             counter -= 1
             if counter == 0:
                 break
-            clause = lits_of(reason_of(var))
+            clause = reasons[var]
         learnt[0] = p
 
         # Cheap clause minimization: drop literals implied by the rest.
@@ -640,10 +577,10 @@ class Solver:
             seen[learnt[0] >> 1] = 1
             kept = [learnt[0]]
             for q in learnt[1:]:
-                reason = reason_of(q >> 1)
+                reason = reasons[q >> 1]
                 if reason is not None and all(
                     seen[r >> 1] or level[r >> 1] == 0
-                    for r in lits_of(reason)
+                    for r in reason
                     if r != q ^ 1
                 ):
                     continue
@@ -733,60 +670,13 @@ class Solver:
         self._heap_vars = self._num_vars
 
     def _record_learnt(self, learnt):
-        """Store a learnt clause (len >= 2); returns its handle — the
-        list itself in Python mode, the arena ref in native mode."""
-        if self._native is not None:
-            ref = self._native.attach(learnt)
-            self._learnts.append(ref)
-            return ref
+        """Store and attach a learnt clause (len >= 2); returns it."""
         self._learnts.append(learnt)
         self._attach(learnt)
         return learnt
 
-    def _reduce_db_native(self):
-        """Native-mode DB reduction: the same stable sort / keep policy
-        over arena refs, then one C compaction pass that rebuilds the
-        arena and filters every watch list order-preserved."""
-        core = self._native
-        clause_act = self._clause_act
-        locked = set()
-        reason = core.reason
-        for var in range(1, self._num_vars + 1):
-            r = reason[var]
-            if r >= 0:
-                locked.add(r)
-        self._learnts.sort(key=lambda ref: clause_act.get(ref, 0.0))
-        keep_from = len(self._learnts) // 2
-        removed = []
-        kept = []
-        for i, ref in enumerate(self._learnts):
-            if i < keep_from and ref not in locked and core.clause_size(ref) > 2:
-                removed.append(ref)
-            else:
-                kept.append(ref)
-        self._learnts = kept
-        if removed:
-            for ref in removed:
-                clause_act.pop(ref, None)
-            # One GC pass remaps every surviving ref (problem clauses
-            # first, then kept learnts, preserving order), the reason
-            # array, the watch lists, and the activity keys.
-            new_refs = core.compact(self._clauses + kept)
-            n_problem = len(self._clauses)
-            self._clauses = new_refs[:n_problem]
-            new_learnts = new_refs[n_problem:]
-            self._clause_act = {
-                new: clause_act[old]
-                for old, new in zip(kept, new_learnts)
-                if old in clause_act
-            }
-            self._learnts = new_learnts
-
     def _reduce_db(self):
         """Throw away half of the least active learned clauses."""
-        if self._native is not None:
-            self._reduce_db_native()
-            return
         clause_act = self._clause_act
         locked = set()
         for var in range(1, self._num_vars + 1):
@@ -841,10 +731,9 @@ class Solver:
 
         self._deadline = deadline
         self._budget_hit = False
+        search = self._search if self._native is None else self._search_native
         try:
-            return self._search(
-                enc_assumptions, deadline, max_conflicts, start, since
-            )
+            return search(enc_assumptions, deadline, max_conflicts, start, since)
         finally:
             self._deadline = None
             self._budget_hit = False
@@ -920,7 +809,9 @@ class Solver:
                 # Amortized: reads the clock every 64th conflict.  The
                 # propagation-stride probe inside _propagate covers the
                 # conflict-free case this counter can never reach.
-                if deadline is not None and deadline.check(every_n=64):
+                if deadline is not None and deadline.check(
+                    every_n=_CONFLICTS_PER_TIME_CHECK
+                ):
                     status = "budget"
                     break
                 if conflicts_this_restart >= restart_budget:
@@ -973,6 +864,55 @@ class Solver:
             self._model = None
             result = None
         self._backtrack(0)
+        self._record(result, start, since)
+        return result
+
+    def _search_native(self, enc_assumptions, deadline, max_conflicts, start,
+                       since):
+        """:meth:`_search` as one C call.  A bounded deadline is probed
+        where the Python loop probes it (before every decision, every
+        ``_PROPS_PER_TIME_CHECK`` propagations, every
+        ``_CONFLICTS_PER_TIME_CHECK`` conflicts): by the core's own
+        monotonic clock, or — for an injected clock — by pausing the
+        search for Python to read it.  Expiry abandons the search where
+        it stands, as in the Python loop."""
+        core = self._native
+        incs = core.incs
+        incs[0] = self._var_inc
+        incs[1] = self._var_decay
+        incs[2] = self._cla_inc
+        incs[3] = self._cla_decay
+        if deadline is None:
+            code = core.search(enc_assumptions, max_conflicts)
+        else:
+            code = core.search(
+                enc_assumptions, max_conflicts, _PROPS_PER_TIME_CHECK,
+                _CONFLICTS_PER_TIME_CHECK,
+                deadline.remaining() if deadline.monotonic else -1.0,
+            )
+        while True:
+            counts = core.counts
+            self.conflicts += counts[0]
+            self.decisions += counts[1]
+            self.propagations += counts[2]
+            if code != sat_native.PAUSE:
+                break
+            if deadline.expired():
+                code = sat_native.BUDGET
+                break
+            code = core.resume()
+        self._var_inc = incs[0]
+        self._cla_inc = incs[2]
+        self._max_learnts = counts[3]
+        if code == sat_native.SAT:
+            self._model = self._assign[:self._num_vars + 1]
+            result = True
+        else:
+            self._model = None
+            if code == sat_native.ROOT_UNSAT:
+                self._ok = False
+            result = None if code == sat_native.BUDGET else False
+        core.backtrack(0)
         self._record(result, start, since)
         return result
 

@@ -21,6 +21,13 @@ def host():
     return build_random_circuit(n_inputs=8, n_gates=50, n_outputs=4, seed=31)
 
 
+@pytest.fixture(scope="module")
+def wide_host():
+    """Room for a 12-bit SARLock: 4,095 DIPs, far more than a DIP loop
+    gets through in 1 s (an 8-bit lock's 255 take well under 1 s)."""
+    return build_random_circuit(n_inputs=12, n_gates=60, n_outputs=4, seed=31)
+
+
 class TestDipEngine:
     def test_dip_exists_initially(self, host):
         locked = lock_xor(host, 4, seed=1)
@@ -51,8 +58,8 @@ class TestSatAttack:
         assert result.success and not result.timed_out
         assert score_key(locked, result.key).functional
 
-    def test_oot_on_sarlock(self, host):
-        locked = lock_sarlock(host, 8, seed=2)  # 256 wrong keys, 1s budget
+    def test_oot_on_sarlock(self, wide_host):
+        locked = lock_sarlock(wide_host, 12, seed=2)  # 4096 keys, 1s budget
         oracle = Oracle(locked.original)
         result = sat_attack(locked.circuit, locked.key_inputs, oracle, time_limit=1.0)
         assert result.timed_out
@@ -81,8 +88,8 @@ class TestDdip:
         assert result.success
         assert score_key(locked, result.key).functional
 
-    def test_oot_on_sarlock(self, host):
-        locked = lock_sarlock(host, 8, seed=4)
+    def test_oot_on_sarlock(self, wide_host):
+        locked = lock_sarlock(wide_host, 12, seed=4)
         oracle = Oracle(locked.original)
         result = ddip_attack(locked.circuit, locked.key_inputs, oracle, time_limit=1.0)
         assert result.timed_out

@@ -19,7 +19,11 @@ them, on both backends.  The cases cover
 
 The last test bounds the heap: stale entries never pile up past
 ``2 * num_vars + 64`` across hundreds of warm probes and rescales, and
-dropping them leaves that trajectory pinned too.
+dropping them leaves that trajectory pinned too.  On the Python backend
+the rescale and heap-bound cases observe the search by wrapping
+``_pick_branch_var`` and ``_backtrack``; the C search never calls those,
+so on the native backend they read its counters instead
+(``scan_picks``, ``heap_peak``).
 """
 
 import hashlib
@@ -156,9 +160,10 @@ def _rescale_trajectory(backend, scans=None):
     solver = _solver(backend)
     n = 150
     solver.add_cnf(random_3cnf(n, round(3.6 * n), seed=21))
-    if scans is not None:
+    if scans is not None and solver._native is None:
         # Count the picks that meet no valid heap entry while a variable
-        # is still unassigned: those run the linear-scan fallback.
+        # is still unassigned: those run the linear-scan fallback.  The
+        # C search counts them itself (read after the loop).
         pick = solver._pick_branch_var
 
         def counting_pick():
@@ -186,6 +191,8 @@ def _rescale_trajectory(backend, scans=None):
         trajectory.append(_point(solver, status))
         trajectory.append(solver._var_inc < 1e90)
     trajectory.append(_learnts(solver))
+    if scans is not None and solver._native is not None:
+        scans.extend([1] * solver._native.scan_picks)
     return trajectory
 
 
@@ -233,13 +240,15 @@ def _bounded_trajectory(backend, peaks):
     n = 90
     solver = _solver(backend)
     solver.add_cnf(random_3cnf(n, round(4.1 * n), seed=33))
-    backtrack = solver._backtrack
+    core = solver._native
+    if core is None:
+        backtrack = solver._backtrack
 
-    def measured_backtrack(level):
-        backtrack(level)
-        peaks.append(len(solver._order_heap))
+        def measured_backtrack(level):
+            backtrack(level)
+            peaks.append(len(solver._order_heap))
 
-    solver._backtrack = measured_backtrack
+        solver._backtrack = measured_backtrack
     trajectory = []
     for step in range(300):
         if step % 50 == 25:
@@ -247,6 +256,9 @@ def _bounded_trajectory(backend, peaks):
         status = solver.solve(_probe(rng, solver, n), max_conflicts=200)
         trajectory.append(_point(solver, status))
         trajectory.append(solver._var_inc < 1e90)
+        if core is not None:
+            # The C search keeps the largest heap any backtrack left.
+            peaks.append(core.heap_peak)
     return trajectory
 
 

@@ -9,13 +9,14 @@ deadline they ran under.
 
 import pytest
 
-from factories import build_random_circuit
+from factories import build_random_circuit, random_3cnf
 from repro.attacks import Oracle, ddip_attack, sat_attack, scope_attack
 from repro.attacks.kratt import extract_unit, kratt_ol_attack, qbf_key_search
 from repro.budget import Deadline
 from repro.locking import TECHNIQUES, lock_sarlock, lock_ttlock, lock_xor
 from repro.netlist import Circuit
 from repro.qbf import solve_exists_forall_circuit
+from repro.sat import native as sat_native
 from repro.sat.solver import Solver
 
 
@@ -123,6 +124,47 @@ class TestSolverBudget:
         solver = _implication_chain(20)
         assert solver.solve([1], time_limit=Deadline.from_limit(30.0)) is True
         assert solver.solve([1], time_limit=30.0) is True
+
+    @pytest.mark.skipif(
+        not sat_native.native_available(),
+        reason=sat_native.last_error() or "native solver core unavailable",
+    )
+    def test_expiry_mid_search_keeps_native_on_python_trajectory(self):
+        """A deadline that expires mid-search, conflicts deep: the C
+        search gives up at the same conflict the Python loop does, and
+        the solver it leaves behind solves on exactly as Python's does.
+
+        The first injected clock reads the solver's conflict count, so it
+        expires at the 128th conflict of the bounded solve whichever
+        backend reads it and however often.  The later solves run on an
+        injected clock that never expires: the C search pauses for it
+        before every decision and every 64 conflicts (one pause lands on
+        the restart at conflict 1,600) and must resume without a trace."""
+        cnf = random_3cnf(150, 639, seed=2)
+        points = []
+        for native in (False, True):
+            solver = Solver(native=native)
+            assert solver.backend == ("native" if native else "python"), (
+                sat_native.last_error())
+            solver.add_cnf(cnf)
+            assert solver.solve([3, -7], max_conflicts=40) is None
+            deadline = Deadline.from_limit(
+                128, clock=lambda: float(solver.conflicts))
+            assert solver.solve([-2, 5], time_limit=deadline) is None
+            assert solver.last_result.conflicts == 128
+            never = Deadline.from_limit(1.0, clock=lambda: 0.0)
+            trajectory = []
+            for assumptions in ([-2, 5], [], [9]):
+                status = solver.solve(assumptions, time_limit=never)
+                model = solver.model() if status is True else None
+                trajectory.append((status, solver.last_result.conflicts,
+                                   solver.conflicts, solver.decisions,
+                                   solver.propagations, model))
+            lits_of = solver._native.clause_lits if native else list
+            trajectory.append([list(lits_of(c)) for c in solver._learnts])
+            points.append(trajectory)
+        assert max(point[1] for point in points[0][:3]) > 1600
+        assert points[0] == points[1]
 
 
 def _or_unit():

@@ -16,6 +16,7 @@ import random
 import pytest
 
 from factories import build_exotic_circuit, build_random_circuit
+from repro import nativelib
 from repro.netlist import native
 from repro.netlist.engine import (
     _NATIVE_AFTER_RUNS,
@@ -176,11 +177,10 @@ class TestCache:
         recovery path republishes via unlink + rename for exactly that
         reason).
         """
-        import hashlib
-
-        digest = hashlib.sha256(
-            native.engine_source().encode("utf-8")
-        ).hexdigest()
+        digest = nativelib.source_digest(
+            native.engine_source(), nativelib.find_compiler(),
+            nativelib.extra_flags(),
+        )
         os.makedirs(cache_dir, exist_ok=True)
         path = os.path.join(cache_dir, f"{digest}.so")
         with open(path, "wb") as handle:

@@ -92,9 +92,12 @@ def test_table4_genantisat_falls_to_modified_unit_scope(tmp_path):
 
 @pytest.fixture(scope="module")
 def table5_final_v3(tmp_path_factory):
+    # The tiny final_v3 SAT attack runs ~1.9 s to completion on a 2-vCPU
+    # host (it took 14 s before the search loop moved into C), so the
+    # baseline budget sits well under that.
     _, _, rows = _campaign(
         tmp_path_factory.mktemp("table5"), "table5",
-        circuits=["final_v3"], baseline_time_limit=6.0,
+        circuits=["final_v3"], baseline_time_limit=0.6,
     )
     assert len(rows) == 1
     return rows[0]

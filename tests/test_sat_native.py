@@ -9,7 +9,6 @@ component degrades *independently* (a broken solver build must never
 disable the simulation engine, and vice versa).
 """
 
-import hashlib
 import multiprocessing
 import os
 
@@ -193,10 +192,29 @@ class TestCache:
         assert len(entries) == 2  # one solver core + one sim engine
         assert [f for f in os.listdir(cache_dir) if ".tmp." in f] == []
 
+    def test_flags_and_compiler_are_part_of_the_cache_key(
+            self, cache_dir, monkeypatch):
+        """A build under other REPRO_NATIVE_CFLAGS (a sanitizer build,
+        say) gets its own entry instead of loading — or replacing — the
+        library the default flags built."""
+        assert Solver().backend == "native", sat_native.last_error()
+        ambient = os.environ.get("REPRO_NATIVE_CFLAGS", "")
+        monkeypatch.setenv("REPRO_NATIVE_CFLAGS",
+                           f"{ambient} -DREPRO_CACHE_KEY_PROBE=1")
+        sat_native.clear_core_cache()
+        assert Solver().backend == "native", sat_native.last_error()
+        entries = [f for f in os.listdir(cache_dir) if f.endswith(".so")]
+        assert len(entries) == 2
+        cc = nativelib.find_compiler()
+        source = sat_native.core_source()
+        assert nativelib.source_digest(source, cc) != (
+            nativelib.source_digest(source, cc + "-other"))
+
     def test_corrupt_cache_entry_is_rebuilt(self, cache_dir):
-        digest = hashlib.sha256(
-            sat_native.core_source().encode("utf-8")
-        ).hexdigest()
+        digest = nativelib.source_digest(
+            sat_native.core_source(), nativelib.find_compiler(),
+            nativelib.extra_flags(),
+        )
         os.makedirs(cache_dir, exist_ok=True)
         path = os.path.join(cache_dir, f"{digest}.so")
         with open(path, "wb") as handle:
