@@ -4,10 +4,10 @@ Following Section III-A of the paper:
 
 1. The *critical signal* ``cs1`` is the output of the first gate in the
    paths from key inputs to primary outputs through which **all** key
-   inputs pass.  We enumerate signals reached by every key input in
-   ascending logic level and accept the first whose cone removal actually
-   strips every key input from the netlist (a dominator check — plain
-   common reachability can be fooled by resynthesized sharing).
+   inputs pass.  With a virtual source feeding every key input and a
+   virtual sink fed by every primary output, that is a dominator of the
+   sink: the one nearest the source that every key input reaches.  One
+   dominator pass over the topological order finds it.
 2. The fan-in cone of ``cs1`` is the locking/restore *unit*; removing it
    and promoting ``cs1`` to a primary input yields the *unit stripped
    circuit* (USC).  Logic shared between the two is duplicated, exactly
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...netlist.cone import extract_cone, remove_cone, transitive_fanout
+from ...netlist.cone import extract_cone, remove_cone
 from ...netlist.gate import GateType
 from ...netlist.simulate import random_patterns
 
@@ -63,40 +63,74 @@ class UnitExtraction:
         return counts[len(counts) // 2] if counts else 0
 
 
-def find_critical_signal(circuit, key_inputs, max_candidates=512):
+def find_critical_signal(circuit, key_inputs):
     """Locate ``cs1``: the earliest gate all key inputs pass through.
 
-    Returns the signal name, or ``None`` when no single gate channels all
-    keys (not a single-unit locked circuit).
+    Add a virtual source feeding every key input and a virtual sink fed
+    by every primary output.  ``cs1`` is the dominator of the sink (on
+    paths from the source) nearest the source that is not a key input and
+    that every key input reaches.  Immediate dominators come from one
+    pass over the topological order, intersecting predecessors by
+    dominator-tree depth (Cooper, Harvey and Kennedy); on a DAG every
+    predecessor is final when its successor is visited, so one pass
+    suffices.
+
+    Returns the signal name, or ``None`` when no key input reaches a
+    primary output or no single gate channels all keys (not a
+    single-unit locked netlist).
     """
-    key_inputs = [k for k in key_inputs if k in circuit]
-    if not key_inputs:
-        return None
-
-    common = None
+    bit = {}
     for key in key_inputs:
-        reach = transitive_fanout(circuit, [key], include_sources=False)
-        common = reach if common is None else (common & reach)
-        if not common:
-            return None
+        if key in circuit and key not in bit:
+            bit[key] = 1 << len(bit)
+    if not bit:
+        return None
+    everyone = (1 << len(bit)) - 1
 
-    levels = circuit.levels()
-    candidates = sorted(common, key=lambda s: (levels[s], s))
-    key_set = set(key_inputs)
-    outputs = set(circuit.outputs)
+    # Only signals the source reaches get entries; the source is ``None``.
+    idom, depth, mask = {None: None}, {None: 0}, {}
 
-    for candidate in candidates[:max_candidates]:
-        if circuit.gate(candidate).is_input:
+    def intersect(a, b):
+        while a != b:
+            while depth[a] > depth[b]:
+                a = idom[a]
+            while depth[b] > depth[a]:
+                b = idom[b]
+            if a != b:
+                a, b = idom[a], idom[b]
+        return a
+
+    def dominator_of(preds):
+        dom = preds[0]
+        for p in preds[1:]:
+            dom = intersect(dom, p)
+        return dom
+
+    for name in circuit.topological_order():
+        if name in bit:
+            idom[name], depth[name], mask[name] = None, 1, bit[name]
             continue
-        # Dominator check: with the candidate's cone cut out, no key input
-        # may still reach a primary output.
-        try:
-            usc = remove_cone(circuit, candidate)
-        except Exception:
+        preds = [s for s in circuit.gate(name).fanins if s in mask]
+        if not preds:
             continue
-        still_reaching = transitive_fanout(usc, list(key_set & set(usc.signals)))
-        if not (still_reaching & outputs):
-            return candidate
+        dom = dominator_of(preds)
+        idom[name], depth[name] = dom, depth[dom] + 1
+        reached = 0
+        for p in preds:
+            reached |= mask[p]
+        mask[name] = reached
+
+    sinks = [o for o in circuit.outputs if o in mask]
+    if not sinks:
+        return None
+    chain = []
+    dom = dominator_of(sinks)
+    while dom is not None:
+        chain.append(dom)
+        dom = idom[dom]
+    for dom in reversed(chain):
+        if dom not in bit and mask[dom] == everyone:
+            return dom
     return None
 
 

@@ -37,8 +37,6 @@ class Circuit:
         self._topo_cache = None
         self._fanout_cache = None
         self._compiled_cache = None
-        self._epoch = 0
-        self._analysis_cache = {}
         self._ephemeral = False
 
     # ------------------------------------------------------------------
@@ -71,9 +69,7 @@ class Circuit:
         """Mark an existing (or future) signal as a primary output."""
         self._outputs.append(name)
         # Topological order and fanout are output-independent, but the
-        # compiled engine snapshots the output list at build time, and
-        # memoized analyses (cone removal, output reachability) depend on
-        # the output list.
+        # compiled engine snapshots the output list at build time.
         self._invalidate_outputs()
         return name
 
@@ -117,29 +113,6 @@ class Circuit:
         """Invalidate state that depends on the output list (a subset of
         full structural invalidation: topo/fanout survive)."""
         self._compiled_cache = None
-        self._epoch += 1
-        if self._analysis_cache:
-            self._analysis_cache = {}
-
-    @property
-    def mutation_epoch(self):
-        """Counter bumped by every structural or output-list mutation.
-
-        The compiled-engine cache and the per-circuit analysis cache are
-        both invalidated exactly when this advances, so external memo
-        tables can key derived results on ``(id(circuit), epoch)``.
-        """
-        return self._epoch
-
-    def analysis_cache(self):
-        """Per-circuit memo table for derived structural results.
-
-        Cleared on every mutation (same lifetime as the compiled-engine
-        cache).  Users (:func:`repro.netlist.cone.memoize_analysis`)
-        store frozen/copy-on-return values only, keyed by tuples whose
-        first element names the analysis.
-        """
-        return self._analysis_cache
 
     # ------------------------------------------------------------------
     # accessors

@@ -10,23 +10,9 @@ here:
   *unit stripped circuit* (USC), where the removed cone's root becomes a
   fresh primary input and logic shared with the rest of the netlist is
   preserved on both sides.
-
-Every primitive is **memoized per circuit**: results land in the
-circuit's :meth:`~repro.netlist.circuit.Circuit.analysis_cache`, which is
-invalidated by the same mutation epoch as the compiled-engine cache, so
-re-walking the same netlist — KRATT's removal, extraction and
-structural-analysis stages revisiting one locked netlist or USC —
-reuses the structural work.  Set-valued results are cached and returned
-as ``frozenset`` (callers treat them read-only); circuit-valued results
-are cached once and returned as cheap :meth:`Circuit.copy` clones so a
-caller mutating its cone can never corrupt the cache.  ``REPRO_CONE_MEMO=0``
-in the environment (or :func:`set_cone_memo`) disables the layer, which
-is how ``perfbench/run.py --ablate`` measures its end-to-end share.
 """
 
 from __future__ import annotations
-
-import os
 
 from .circuit import Circuit
 from .errors import CircuitStructureError
@@ -39,111 +25,49 @@ __all__ = [
     "remove_cone",
     "reachable_outputs",
     "cones_with_support_within",
-    "cone_memo_enabled",
-    "set_cone_memo",
-    "memoize_analysis",
 ]
-
-#: Per-circuit memo entry cap; one oversized circuit cannot hoard memory.
-#: The table is simply dropped when full (entries are cheap to rebuild).
-_MEMO_CAP = 4096
-
-_MEMO_ENABLED = os.environ.get("REPRO_CONE_MEMO", "1") != "0"
-
-
-def cone_memo_enabled():
-    """Whether structural memoization is active in this process."""
-    return _MEMO_ENABLED
-
-
-def set_cone_memo(enabled):
-    """Enable/disable structural memoization; returns the previous state."""
-    global _MEMO_ENABLED
-    previous = _MEMO_ENABLED
-    _MEMO_ENABLED = bool(enabled)
-    return previous
-
-
-def memoize_analysis(circuit, key, compute):
-    """``compute()`` memoized in ``circuit``'s epoch-tied analysis cache.
-
-    The shared entry point for every structural memo in the tree.
-    Values must be immutable or copied before hand-out by the caller.
-    """
-    if not _MEMO_ENABLED:
-        return compute()
-    cache = circuit.analysis_cache()
-    try:
-        return cache[key]
-    except KeyError:
-        pass
-    value = compute()
-    if len(cache) >= _MEMO_CAP:
-        cache.clear()
-    cache[key] = value
-    return value
 
 
 def transitive_fanin(circuit, roots, include_roots=True):
-    """All signals in the fan-in cone(s) of ``roots`` (inputs included).
-
-    Returns a ``frozenset`` (memoized per circuit; treat as read-only).
-    """
+    """All signals in the fan-in cone(s) of ``roots`` (inputs included),
+    as a ``frozenset``."""
     roots = tuple(roots)
-
-    def compute():
-        seen = set()
-        stack = list(roots)
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            stack.extend(circuit.gate(name).fanins)
-        if not include_roots:
-            seen -= set(roots)
-        return frozenset(seen)
-
-    key = ("fanin", frozenset(roots), bool(include_roots))
-    return memoize_analysis(circuit, key, compute)
+    seen = set()
+    stack = list(roots)
+    while stack:
+        name = stack.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        stack.extend(circuit.gate(name).fanins)
+    if not include_roots:
+        seen -= set(roots)
+    return frozenset(seen)
 
 
 def transitive_fanout(circuit, sources, include_sources=True):
-    """All signals reachable from ``sources`` following fanout edges.
-
-    Returns a ``frozenset`` (memoized per circuit; treat as read-only).
-    """
+    """All signals reachable from ``sources`` following fanout edges, as a
+    ``frozenset``."""
     sources = tuple(sources)
-
-    def compute():
-        fanout = circuit.fanout_map()
-        seen = set()
-        stack = list(sources)
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            stack.extend(fanout.get(name, ()))
-        if not include_sources:
-            seen -= set(sources)
-        return frozenset(seen)
-
-    key = ("fanout", frozenset(sources), bool(include_sources))
-    return memoize_analysis(circuit, key, compute)
+    fanout = circuit.fanout_map()
+    seen = set()
+    stack = list(sources)
+    while stack:
+        name = stack.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        stack.extend(fanout.get(name, ()))
+    if not include_sources:
+        seen -= set(sources)
+    return frozenset(seen)
 
 
 def support(circuit, signal):
-    """Primary inputs in the transitive fan-in of ``signal``.
-
-    Returns a ``frozenset`` (memoized per circuit; treat as read-only).
-    """
-
-    def compute():
-        cone = transitive_fanin(circuit, [signal])
-        return frozenset(s for s in cone if circuit.gate(s).is_input)
-
-    return memoize_analysis(circuit, ("support", signal), compute)
+    """Primary inputs in the transitive fan-in of ``signal``, as a
+    ``frozenset``."""
+    cone = transitive_fanin(circuit, [signal])
+    return frozenset(s for s in cone if circuit.gate(s).is_input)
 
 
 def extract_cone(circuit, root, name=None, extra_inputs=()):
@@ -152,21 +76,12 @@ def extract_cone(circuit, root, name=None, extra_inputs=()):
     The new circuit's primary inputs are the primary inputs of the parent
     circuit that appear in the cone, plus any cone signals listed in
     ``extra_inputs`` (those are cut: their driving logic is not copied).
-    The single output is ``root``.  The walk is memoized per circuit;
-    each call returns a fresh :meth:`Circuit.copy` of the cached cone.
+    The single output is ``root``.
     """
-    key = ("cone", root, frozenset(extra_inputs))
-    cached = memoize_analysis(
-        circuit, key, lambda: _extract_cone(circuit, root, extra_inputs)
-    )
-    return cached.copy(name or f"{circuit.name}_cone_{root}")
-
-
-def _extract_cone(circuit, root, extra_inputs):
     if root not in circuit:
         raise CircuitStructureError(f"no signal {root!r} to extract")
     cut = set(extra_inputs)
-    cone = Circuit(f"{circuit.name}_cone_{root}")
+    cone = Circuit(name or f"{circuit.name}_cone_{root}")
 
     needed = []
     seen = set()
@@ -205,24 +120,14 @@ def remove_cone(circuit, root, name=None):
     cone disappears, logic shared with the remaining netlist is kept, and
     ``root`` itself becomes a new primary input of the result.  Primary
     inputs that end up unused are retained as inputs (interface-preserving)
-    so locked/original interfaces stay comparable.  Memoized per circuit
-    (``find_critical_signal`` probes many candidate roots and the winning
-    USC is re-derived by ``extract_unit``); each call returns a fresh
-    :meth:`Circuit.copy` of the cached construction.
+    so locked/original interfaces stay comparable.
     """
-    cached = memoize_analysis(
-        circuit, ("usc", root), lambda: _remove_cone(circuit, root)
-    )
-    return cached.copy(name or f"{circuit.name}_usc")
-
-
-def _remove_cone(circuit, root):
     if root not in circuit:
         raise CircuitStructureError(f"no signal {root!r} to remove")
     if circuit.gate(root).is_input:
         raise CircuitStructureError(f"cannot remove cone of primary input {root!r}")
 
-    stripped = Circuit(f"{circuit.name}_usc")
+    stripped = Circuit(name or f"{circuit.name}_usc")
     for sig in circuit.inputs:
         stripped.add_input(sig)
     stripped.add_input(root)
@@ -253,12 +158,8 @@ def _remove_cone(circuit, root):
 
 def reachable_outputs(circuit, source):
     """Primary outputs reachable from ``source`` (in output order)."""
-
-    def compute():
-        reach = transitive_fanout(circuit, [source])
-        return tuple(o for o in circuit.outputs if o in reach)
-
-    return list(memoize_analysis(circuit, ("reachout", source), compute))
+    reach = transitive_fanout(circuit, [source])
+    return [o for o in circuit.outputs if o in reach]
 
 
 def cones_with_support_within(circuit, allowed_inputs, min_support=1,

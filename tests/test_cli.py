@@ -125,10 +125,8 @@ class TestOtherCommands:
 
 class TestEnvironment:
     def test_malformed_cache_caps_do_not_crash(self):
-        """The cone-memo, prep-cache and prep-store caps are constants,
-        not knobs."""
-        env = dict(os.environ, REPRO_CONE_MEMO_CAP="lots",
-                   REPRO_PREP_CACHE_CAPACITY="lots",
+        """The prep-cache and prep-store caps are constants, not knobs."""
+        env = dict(os.environ, REPRO_PREP_CACHE_CAPACITY="lots",
                    REPRO_PREP_STORE_CAPACITY="lots")
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")])

@@ -66,6 +66,18 @@ class TestNoCriticalSignal:
         with pytest.raises(ValueError):
             extract_unit(locked.circuit, locked.key_inputs)
 
+    def test_no_key_reaches_an_output(self):
+        """A key with no path to any output has no critical signal: there
+        is no unit to extract, so nothing may be passed off as one."""
+        circuit = build_random_circuit(n_inputs=8, n_gates=19, n_outputs=2,
+                                       seed=87)
+        from repro.netlist.cone import transitive_fanout
+
+        assert not (transitive_fanout(circuit, ["x4"]) & set(circuit.outputs))
+        assert find_critical_signal(circuit, ["x4"]) is None
+        with pytest.raises(ValueError):
+            extract_unit(circuit, ["x4"])
+
 
 class TestAssociation:
     def test_sarlock_one_key_per_ppi(self, host):

@@ -8,10 +8,7 @@ rewrite passes, in-place fanin swaps — to random hosts and asserts after
 * the compiled engine stays bit-identical to the reference interpreter
   on the mutated circuit;
 * the chain preserves the original Boolean function (same outputs under
-  the same input words);
-* the structural memo (:mod:`repro.netlist.cone`) and the compiled-engine
-  cache are correctly invalidated by the mutation epoch: memoized results
-  always equal a memo-disabled recomputation.
+  the same input words).
 """
 
 import random
@@ -22,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from factories import build_random_circuit
 from repro.locking import TECHNIQUES, LockingError
 from repro.netlist import cone
-from repro.netlist.cone import support, transitive_fanin, transitive_fanout
+from repro.netlist.cone import transitive_fanin, transitive_fanout
 from repro.netlist.gate import VARIADIC_TYPES
 from repro.netlist.simulate import random_patterns
 from repro.synth.constprop import dead_code_eliminate, propagate_constants
@@ -94,15 +91,6 @@ MUTATIONS = {
 }
 
 
-def _memoless(compute):
-    """Run ``compute`` with the structural memo disabled."""
-    previous = cone.set_cone_memo(False)
-    try:
-        return compute()
-    finally:
-        cone.set_cone_memo(previous)
-
-
 def _check_step(circuit, inputs, mask, reference_outputs, words):
     """The per-link invariants of a mutation chain."""
     # Engine vs interpreter equivalence on every signal.
@@ -112,18 +100,6 @@ def _check_step(circuit, inputs, mask, reference_outputs, words):
     # The chain preserves the seed host's Boolean function.
     values = circuit.evaluate(words, mask, outputs_only=True)
     assert {o: values[o] for o in circuit.outputs} == reference_outputs
-    # Memoized structural analyses match memo-disabled recomputation.
-    roots = list(circuit.outputs)
-    assert transitive_fanin(circuit, roots) == _memoless(
-        lambda: transitive_fanin(circuit, roots)
-    )
-    probe = roots[0]
-    assert support(circuit, probe) == _memoless(lambda: support(circuit, probe))
-    first_input = circuit.inputs[0] if circuit.inputs else None
-    if first_input is not None:
-        assert transitive_fanout(circuit, [first_input]) == _memoless(
-            lambda: transitive_fanout(circuit, [first_input])
-        )
 
 
 @settings(max_examples=12, deadline=None)
@@ -143,26 +119,22 @@ def test_mutation_chain_preserves_function_and_caches(seed, data):
         label="chain",
     )
     for name in names:
-        before_epoch = circuit.mutation_epoch
-        mutated = MUTATIONS[name](circuit, rng)
-        if mutated is circuit:
-            # In-place mutation: epoch must advance and both caches drop.
-            assert circuit.mutation_epoch >= before_epoch
-        circuit = mutated
+        circuit = MUTATIONS[name](circuit, rng)
         _check_step(circuit, circuit.inputs, mask, reference, words)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_inplace_mutation_invalidates_engine_and_memo(seed):
+    """An in-place gate redefinition rebuilds the compiled engine and the
+    fanout map, so evaluation and cone walks see the new structure."""
     circuit = build_random_circuit(n_inputs=6, n_gates=25, n_outputs=2,
                                    seed=seed)
     words, mask = random_patterns(list(circuit.inputs), WIDTH,
                                   random.Random(seed))
-    # Warm both caches.
+    # Warm the engine, topological order and fanout map.
     engine_before = circuit.compiled()
     fanin_before = transitive_fanin(circuit, list(circuit.outputs))
-    assert ("fanin", frozenset(circuit.outputs), True) in circuit.analysis_cache()
-    epoch_before = circuit.mutation_epoch
+    transitive_fanout(circuit, [circuit.inputs[0]])
 
     # Redefine one gate so the fan-in cone of the outputs changes: drive
     # it from primary inputs only.
@@ -170,33 +142,36 @@ def test_inplace_mutation_invalidates_engine_and_memo(seed):
         g.name for g in circuit.gates()
         if g.gtype in VARIADIC_TYPES and g.name in fanin_before
     )
-    circuit.replace_gate(victim, "AND", (circuit.inputs[0], circuit.inputs[1]))
+    a, b = circuit.inputs[0], circuit.inputs[1]
+    circuit.replace_gate(victim, "AND", (a, b))
 
-    assert circuit.mutation_epoch > epoch_before
-    assert circuit.analysis_cache() == {}
     assert circuit.compiled() is not engine_before
-    # Post-mutation results are fresh, not stale memo hits.
-    fanin_after = transitive_fanin(circuit, list(circuit.outputs))
-    assert fanin_after == _memoless(
-        lambda: transitive_fanin(circuit, list(circuit.outputs))
-    )
+    assert transitive_fanin(circuit, [victim]) == {victim, a, b}
+    assert victim in transitive_fanout(circuit, [a])
+    fresh = circuit.copy()
+    outputs = list(circuit.outputs)
+    assert transitive_fanin(circuit, outputs) == transitive_fanin(fresh, outputs)
     assert circuit.evaluate(words, mask) == circuit.evaluate_interpreted(
         words, mask
     )
 
 
-def test_output_list_mutation_bumps_epoch():
+def test_output_list_mutation_refreshes_engine_and_reach():
+    """Removing or re-adding an output rebuilds the compiled engine's
+    output list and changes what ``reachable_outputs`` reports."""
     circuit = build_random_circuit(seed=9)
-    epoch = circuit.mutation_epoch
-    cached = cone.reachable_outputs(circuit, circuit.inputs[0])
+    engine = circuit.compiled()
+    before = cone.reachable_outputs(circuit, circuit.inputs[0])
     kept = circuit.outputs[-1]
     circuit.remove_output(kept)
-    assert circuit.mutation_epoch > epoch
+    assert circuit.compiled() is not engine
+    assert kept not in circuit.compiled().output_names
     fresh = cone.reachable_outputs(circuit, circuit.inputs[0])
     assert kept not in fresh
-    assert fresh == [o for o in cached if o != kept]
+    assert fresh == [o for o in before if o != kept]
     circuit.add_output(kept)
-    assert cone.reachable_outputs(circuit, circuit.inputs[0]) == cached
+    assert circuit.compiled().output_names[-1] == kept
+    assert cone.reachable_outputs(circuit, circuit.inputs[0]) == before
 
 
 def test_scope_after_in_place_mutation_matches_fresh_copy():
