@@ -82,7 +82,6 @@ def _verify_key(locked, key_inputs, key, oracle, samples=128, extra_patterns=())
     observed = oracle.query_batch(patterns)
 
     engine = locked.compiled()
-    engine.ensure_native()
     words, mask = engine.pack_input_words(patterns, fixed=key_fixed)
     got_words = engine.output_words_from_list(words, mask)
     for o, word in zip(engine.output_names, got_words):
@@ -139,9 +138,6 @@ def og_exhaustive_search(
     key_set = set(key_inputs)
     data_inputs = [s for s in locked.inputs if s not in key_set]
     engine = locked.compiled()
-    # The whole exhaustive search batch-evaluates this one netlist; skip
-    # the native backend's organic run threshold (cost model still rules).
-    engine.ensure_native()
     locked_outputs = engine.output_names
     # Where each locked-netlist input takes its bit (paper step 7): a
     # data input that is a PPI from that PPI, every other data input

@@ -87,10 +87,6 @@ class Oracle:
         if not patterns:
             return {} if words else []
         engine, _ = self._prepared()
-        # An oracle is queried for the whole life of an attack: let the
-        # native backend engage now (its cost model still applies) rather
-        # than after the organic run threshold.
-        engine.ensure_native()
         in_words, mask = engine.pack_input_words(patterns, default=defaults)
         self.query_count += len(patterns)
         out_words = engine.output_words_from_list(in_words, mask)

@@ -1,13 +1,13 @@
-"""Shared machinery for the native (C-compiled) backends.
+"""Build, cache and load machinery for native (C-compiled) components.
 
-Two hot paths cross into C: the netlist simulation engine
-(:mod:`repro.netlist.native`) and the CDCL propagation core
-(:mod:`repro.sat.native`).  Both follow the same lifecycle — a C
+One hot path crosses into C: the CDCL search core
+(:mod:`repro.sat.native`).  Its lifecycle is this module's — a C
 translation unit content-addressed by its SHA-256, compiled once per
-host with the local toolchain, published atomically into a shared cache
+host with the local toolchain, published atomically into a cache
 directory, loaded through ``ctypes``, and degrading silently to the
-pure-Python implementation on any failure.  This module is that shared
-lifecycle, factored out so the two components stay independent:
+pure-Python implementation on any failure.  Every entry point takes a
+component name (``"solver"``), which keys the gates, the load cache and
+the error latches:
 
 * **Content addresses cover the whole build.** A library's digest
   hashes its source together with the compiler path and the extra
@@ -16,26 +16,25 @@ lifecycle, factored out so the two components stay independent:
   never loads an ``-O3`` library built before it, and default runs
   never load it.
 
-* **Per-component gates.** ``REPRO_NATIVE=0`` is the master switch that
-  disables everything; ``REPRO_NATIVE_SIM=0`` / ``REPRO_NATIVE_SOLVER=0``
-  disable one component without touching the other.
-* **Per-component failure latches.** The load cache is keyed by
+* **Gates.** ``REPRO_NATIVE=0`` is the master switch that disables
+  everything; ``REPRO_NATIVE_<COMPONENT>=0`` (``REPRO_NATIVE_SOLVER=0``)
+  disables one component.
+* **Failure latches.** The load cache is keyed by
   ``(component, cache_dir, digest)`` and remembers failures as
-  exception instances — a solver ``.so`` that fails to compile costs
-  one lookup per process and **does not** disable the simulation
-  engine (and vice versa).  ``last_error(component)`` reports the most
+  exception instances — a ``.so`` that fails to compile costs one
+  lookup per process.  ``last_error(component)`` reports the most
   recent failure per component.
 * **Atomic publication.** Builds compile to a ``.tmp.<pid>`` path and
   ``os.replace`` into ``<digest>.so`` (the prep-store pattern), so
   concurrent workers never observe a torn library; a cache entry that
   fails to ``dlopen`` is unlinked and rebuilt once.
 
-Knobs (all shared across components unless noted):
+Knobs:
 
 ``REPRO_NATIVE=0``
-    Disable every native backend (pure-Python behavior, bit-identical).
-``REPRO_NATIVE_SIM=0`` / ``REPRO_NATIVE_SOLVER=0``
-    Disable one component only.
+    Disable every native component (pure-Python behavior, bit-identical).
+``REPRO_NATIVE_SOLVER=0``
+    Disable the solver core only.
 ``REPRO_NATIVE_CC=<path>``
     Compiler override; pointing it at a missing binary simulates a host
     without a toolchain.
@@ -88,9 +87,8 @@ def native_enabled(component=None):
     """Whether the env permits native backends.
 
     ``REPRO_NATIVE=0`` disables everything; with a ``component`` name
-    (``"sim"``, ``"solver"``) the per-component override
-    ``REPRO_NATIVE_<COMPONENT>=0`` is also honored, so one broken or
-    unwanted backend can be switched off without losing the other.
+    (``"solver"``) the per-component override
+    ``REPRO_NATIVE_<COMPONENT>=0`` is also honored.
     """
     if os.environ.get("REPRO_NATIVE", "1") == "0":
         return False
@@ -168,8 +166,7 @@ def compile_and_publish(source, digest, cc, directory, flags=()):
     try:
         with open(c_tmp, "w") as handle:
             handle.write(source)
-        # -O3, not -O2: gcc 12 only autovectorizes the lane loops at -O3,
-        # and vectorization is most of the point.
+        # -O3 is the build every measurement of the solver core used.
         cmd = [cc, "-O3", *flags, "-fPIC", "-shared", "-o", so_tmp, c_tmp]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
@@ -192,7 +189,7 @@ def compile_and_publish(source, digest, cc, directory, flags=()):
 
 #: (component, cache_dir, digest) -> loaded library handle; failures are
 #: remembered per process as NativeUnavailable instances, one latch per
-#: component — a broken solver build never disables the sim engine.
+#: component.
 _LIB_CACHE = {}
 
 #: Most recent build/load failure message per component.

@@ -250,8 +250,9 @@ class Circuit:
         """Hint that this circuit is throwaway (evaluated a handful of
         times, then discarded — KRATT-OG's pinned FSC view is the
         canonical case).  Its compiled engine then skips Python kernel
-        codegen *and* native compilation outright, both of which only
-        amortize over repeated evaluation this circuit will never see.
+        codegen outright and stays on the instruction interpreter: the
+        compile only amortizes over repeated evaluation this circuit will
+        never see.
         Returns ``self`` for chaining.
         """
         self._ephemeral = True
@@ -269,9 +270,7 @@ class Circuit:
             from .engine import CompiledCircuit
 
             if self._ephemeral:
-                self._compiled_cache = CompiledCircuit(
-                    self, codegen=False, native=False
-                )
+                self._compiled_cache = CompiledCircuit(self, codegen=False)
             else:
                 self._compiled_cache = CompiledCircuit(self)
         return self._compiled_cache

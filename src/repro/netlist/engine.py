@@ -17,15 +17,11 @@ Two execution paths share the instruction array:
 * a **generated kernel**: the instructions are rendered to Python source
   (one assignment per gate, split into chunks so compile time stays
   bounded on huge netlists) and ``exec``-compiled once per circuit;
-* an **instruction interpreter** used as fallback (and for
-  cross-checking) when code generation is disabled;
-* a **native kernel** (:mod:`repro.netlist.native`): the same stream
-  rendered to C, compiled with the host toolchain and driven through
-  ``ctypes`` over 64-bit word arrays.  It engages automatically for
-  engines that are batch-evaluated repeatedly (or immediately via
-  :meth:`ensure_native`), and every failure mode — ``REPRO_NATIVE=0``,
-  no compiler, compile error — silently stays on the Python kernels
-  with bit-identical results.
+* an **instruction interpreter** that runs an engine's first
+  evaluations (so a circuit evaluated once or twice never pays the
+  compile), every evaluation of a circuit marked with
+  :meth:`Circuit.mark_ephemeral`, and the cross-checks that disable
+  code generation.
 
 Wide-word sweeps are chunked: a ``2**n`` exhaustive sweep is split into
 fixed-width chunks so Python bigints stay cache-sized instead of growing
@@ -85,25 +81,6 @@ _NARY_JOIN = {
 #: 2**13 patterns = 1 KiB per signal word.
 DEFAULT_CHUNK_BITS = 13
 
-#: Batch evaluations before the native backend engages on its own:
-#: binding a circuit to the shared C engine is cheap (operand-array
-#: packing; the one-time library compile is content-cached on disk) but
-#: not free, so throwaway circuits (SCOPE's pinned copies) stay on the
-#: Python kernels.
-_NATIVE_AFTER_RUNS = 16
-
-#: Size floor for *automatic* native engagement.
-_NATIVE_MIN_GATES = 96
-
-#: I/O cost model for automatic engagement: moving one signal across the
-#: ctypes boundary (bigint <-> bytes at ~1 GB/s) costs about as much as
-#: ~4 gates of C work at any width, so circuits whose input+output count
-#: rivals their gate count run *faster* on the Python bigint kernels
-#: (the values are already bigints there).  Auto-native requires
-#: ``gates >= ratio * (inputs + outputs)``; ``ensure_native(force=True)``
-#: overrides for callers that know better (single-output miters, benches).
-_NATIVE_IO_RATIO = 4
-
 #: Hard cap on exhaustive sweep width: 2**24 patterns is a 2 MiB word
 #: per signal — beyond it, bigint arithmetic dominates and exhaustion
 #: is the wrong tool anyway.
@@ -156,16 +133,9 @@ class CompiledCircuit:
         Generate and ``exec``-compile a Python kernel (default).  With
         ``False`` the instruction interpreter runs instead — same
         results, useful for cross-checks.
-    native:
-        ``None`` (default) lets the C backend engage automatically once
-        the engine has seen :data:`_NATIVE_AFTER_RUNS` batch evaluations
-        (and the netlist clears :data:`_NATIVE_MIN_GATES`); ``True``
-        requests it on first use; ``False`` disables it for this engine.
-        The environment (``REPRO_NATIVE``, compiler presence) always has
-        the last word — see :mod:`repro.netlist.native`.
     """
 
-    def __init__(self, circuit, codegen=True, native=None):
+    def __init__(self, circuit, codegen=True):
         order = circuit.topological_order()
         index = {}
         for i, name in enumerate(order):
@@ -212,15 +182,6 @@ class CompiledCircuit:
         self._kernels = None
         self._codegen = codegen
         self._runs = 0
-        self._native = None
-        if native is False:
-            self._native_state = "off"
-        elif native is True:
-            self._native_state = "eager"
-        else:
-            self._native_state = "auto"
-        self._evals = 0  # batch entry-point calls; drives auto-native
-        self._sweep_memo = {}  # sweep shape -> (swept_positions, fixed_fill)
 
     # ------------------------------------------------------------------
     # execution cores
@@ -300,61 +261,16 @@ class CompiledCircuit:
             kernel(values, mask)
         return values
 
-    # ------------------------------------------------------------------
-    # native backend
-    # ------------------------------------------------------------------
-    def _maybe_native(self):
-        """The native kernel if it is (or should now become) engaged."""
-        state = self._native_state
-        if state == "ready":
-            return self._native
-        if state == "off" or state == "failed":
-            return None
-        if state == "auto" and (
-            self._evals < _NATIVE_AFTER_RUNS or not self._native_worthwhile()
-        ):
-            return None
-        from .native import build_kernel
-
-        kernel = build_kernel(self)
-        if kernel is None:
-            self._native_state = "failed"
-            return None
-        self._native = kernel
-        self._native_state = "ready"
-        return kernel
-
-    def _native_worthwhile(self):
-        """Cost-model gate for automatic native engagement."""
-        return self.num_gates >= _NATIVE_MIN_GATES and (
-            self.num_gates
-            >= _NATIVE_IO_RATIO
-            * (len(self.input_names) + len(self.output_names))
-        )
-
     def ensure_native(self, force=False):
-        """Engage the native backend now instead of after the organic
-        run threshold — for call sites that know many batch evaluations
-        follow (oracle query loops, exhaustive-search batches, benches).
-
-        The size/IO cost model still applies unless ``force``;
-        ``REPRO_NATIVE=0`` and compiler absence always win.  Returns True
-        when the native kernel is ready.
-        """
-        if self._native_state in ("off", "failed"):
-            return False
-        if self._native_state == "auto":
-            if not force and not self._native_worthwhile():
-                return False
-            self._native_state = "eager"
-        return self._maybe_native() is not None
+        """No-op: there is no native simulation backend.  Always returns
+        ``False``; ``force`` is ignored.  Kept so callers written against
+        the old C kernel (``perfbench``'s ``load_native``) still run."""
+        return False
 
     @property
     def backend(self):
-        """Executing backend right now: ``native``/``codegen``/
-        ``codegen-pending``/``interpreted``."""
-        if self._native_state == "ready":
-            return "native"
+        """Executing backend right now: ``codegen``/``codegen-pending``/
+        ``interpreted``."""
         if self._kernels is not None:
             return "codegen"
         if self._codegen:
@@ -375,29 +291,8 @@ class CompiledCircuit:
                 ) from None
         return values
 
-    def _native_fill(self, assignment):
-        """``(position, word)`` pairs covering every input, or raise."""
-        fill = []
-        for name, pos in zip(self.input_names, self.input_indices):
-            try:
-                fill.append((pos, assignment[name]))
-            except KeyError:
-                raise EvaluationError(
-                    f"no value supplied for input {name!r}"
-                ) from None
-        return fill
-
     def evaluate(self, assignment, mask=1, outputs_only=False):
         """Dict-in/dict-out evaluation, same contract as ``Circuit.evaluate``."""
-        self._evals += 1
-        native = self._maybe_native()
-        if native is not None:
-            fill = self._native_fill(assignment)
-            if outputs_only:
-                words = native.execute(fill, mask, self.output_indices)
-                return dict(zip(self.output_names, words))
-            words = native.execute(fill, mask, range(self.num_signals))
-            return dict(zip(self.signal_names, words))
         values = self.run(self._fill_inputs(assignment, mask), mask)
         if outputs_only:
             return {
@@ -408,14 +303,6 @@ class CompiledCircuit:
 
     def output_words(self, assignment, mask):
         """Output value words as a tuple in output order (no dict churn)."""
-        self._evals += 1
-        native = self._maybe_native()
-        if native is not None:
-            return tuple(
-                native.execute(
-                    self._native_fill(assignment), mask, self.output_indices
-                )
-            )
         values = self.run(self._fill_inputs(assignment, mask), mask)
         return tuple(values[pos] for pos in self.output_indices)
 
@@ -457,16 +344,6 @@ class CompiledCircuit:
     def output_words_from_list(self, input_words, mask):
         """Like :meth:`output_words` but inputs come as a list aligned
         with :attr:`input_names` — the cheapest batch entry point."""
-        self._evals += 1
-        native = self._maybe_native()
-        if native is not None:
-            return tuple(
-                native.execute(
-                    zip(self.input_indices, input_words),
-                    mask,
-                    self.output_indices,
-                )
-            )
         values = self._template[:]
         for pos, word in zip(self.input_indices, input_words):
             values[pos] = word & mask
@@ -522,8 +399,6 @@ class CompiledCircuit:
                 f"exhaustive sweep over {n} inputs is impractical "
                 f"(cap: {MAX_EXHAUSTIVE_INPUTS})"
             )
-        self._evals += 1
-        native = self._maybe_native()
         if chunk_bits is None:
             chunk_bits = DEFAULT_CHUNK_BITS
         chunk_bits = min(chunk_bits, n)
@@ -537,33 +412,6 @@ class CompiledCircuit:
             raise EvaluationError(f"unknown sweep inputs: {unknown[:5]}")
 
         out_indices = self.output_indices
-        if native is not None:
-            # All swept inputs (periodic low bits *and* chunk high bits)
-            # are materialized directly in the C buffer; only the fixed
-            # inputs are packed once per sweep, and only the outputs are
-            # unpacked per chunk.  The derived position lists are memoized
-            # per sweep shape — repeated sweeps (SCOPE passes, best-of
-            # benches) skip straight to the chunk loop.
-            memo_key, swept_positions, fixed_fill = self._native_sweep_plan(
-                names, fixed, chunk_bits, mask
-            )
-            for chunk in range(1 << (n - chunk_bits)):
-                self._evals += 1
-                # Revalidated every chunk: a no-op token compare while
-                # this sweep owns the buffer, a fixed-input refill when
-                # an interleaved evaluation (or another sweep) touched it
-                # between yields — the generator must stay correct under
-                # any interleaving, like the Python path's per-chunk
-                # template copy.
-                state = native.sweep_begin(
-                    swept_positions, fixed_fill, mask, token=memo_key
-                )
-                out = native.sweep_chunk(
-                    state, chunk_bits, chunk, mask, out_indices
-                )
-                yield (chunk << chunk_bits, width, mask, tuple(out))
-            return
-
         # Everything constant across chunks — the non-swept input values
         # and the periodic stimulus of the low (intra-chunk) sweep bits —
         # lives in one preset template; each chunk is then a single list
@@ -580,7 +428,6 @@ class CompiledCircuit:
         ]
 
         for chunk in range(1 << (n - chunk_bits)):
-            self._evals += 1
             values = chunk_template[:]
             for pos, bit in high:
                 if (chunk >> bit) & 1:
@@ -593,34 +440,6 @@ class CompiledCircuit:
                 tuple(values[pos] for pos in out_indices),
             )
 
-    def _native_sweep_plan(self, names, fixed, chunk_bits, mask):
-        """Memoized ``(memo_key, swept_positions, fixed_fill)`` for a
-        native sweep shape, shared by the chunked generator and the
-        merged fast path (the memo key doubles as the kernel's
-        ``sweep_begin`` token)."""
-        memo_key = (
-            tuple(names),
-            tuple(sorted(fixed.items())) if fixed else None,
-            chunk_bits,
-        )
-        memo = self._sweep_memo
-        cached = memo.get(memo_key)
-        if cached is None:
-            input_pos = self._input_pos
-            name_set = set(names)
-            swept_positions = [input_pos[name] for name in names]
-            fixed_fill = [
-                (pos, mask if fixed.get(name) else 0)
-                for name, pos in input_pos.items()
-                if name not in name_set
-            ]
-            if len(memo) >= 16:
-                memo.clear()
-            memo[memo_key] = (swept_positions, fixed_fill)
-        else:
-            swept_positions, fixed_fill = cached
-        return memo_key, swept_positions, fixed_fill
-
     def exhaustive_outputs(self, names=None, fixed=None, chunk_bits=None):
         """Full-width exhaustive output words, assembled from chunks.
 
@@ -628,41 +447,9 @@ class CompiledCircuit:
         output name; bit ``j`` of each word is the output under pattern
         ``j``.  Only for small ``len(names)`` — the result words are
         ``2**n`` bits wide by construction.
-
-        On the native backend the whole sweep — chunk loop, stimulus,
-        evaluation, *and* the output-word merge — runs in one C call
-        (:meth:`NativeKernel.sweep_merged`), so the language boundary is
-        crossed once per output instead of once per output per chunk.
-        Bit-identical to the chunked assembly by construction.
         """
         names = list(self.input_names if names is None else names)
-        n = len(names)
-        total_width = 1 << n
-        native = self._maybe_native()
-        if native is not None and n <= MAX_EXHAUSTIVE_INPUTS:
-            if all(name in self._input_pos for name in names):
-                if chunk_bits is None:
-                    chunk_bits = DEFAULT_CHUNK_BITS
-                chunk_bits = min(chunk_bits, n)
-                mask = (1 << (1 << chunk_bits)) - 1
-                fixed = fixed or {}
-                memo_key, swept_positions, fixed_fill = (
-                    self._native_sweep_plan(names, fixed, chunk_bits, mask)
-                )
-                n_chunks = 1 << (n - chunk_bits)
-                # Mirror the generator path's eval accounting: one for
-                # the sweep plus one per chunk.
-                self._evals += 1 + n_chunks
-                state = native.sweep_begin(
-                    swept_positions, fixed_fill, mask, token=memo_key
-                )
-                merged = native.sweep_merged(
-                    state, chunk_bits, n_chunks, self.output_indices
-                )
-                return (
-                    dict(zip(self.output_names, merged)),
-                    (1 << total_width) - 1,
-                )
+        total_width = 1 << len(names)
         merged = [0] * len(self.output_names)
         for offset, _width, _mask, out_words in self.sweep_exhaustive(
             names, fixed=fixed, chunk_bits=chunk_bits

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import os
 
 from ..budget import Deadline
 from ..sat.solver import Solver
@@ -58,22 +57,9 @@ __all__ = [
 _LOG = logging.getLogger(__name__)
 
 #: Upper bound on how many key-only roots the dominator-constant probe
-#: examines (two SAT calls each, deepest cones first).  Override per run
-#: with ``REPRO_QBF_ROOT_CAP``; when roots are dropped the solver logs
-#: how many, so the cap is never silent.
+#: examines (two SAT calls each, deepest cones first).  When roots are
+#: dropped the solver logs how many, so the cap is never silent.
 DOMINATOR_ROOT_CAP = 48
-
-
-def _dominator_root_cap():
-    raw = os.environ.get("REPRO_QBF_ROOT_CAP")
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            _LOG.warning(
-                "ignoring non-integer REPRO_QBF_ROOT_CAP=%r", raw
-            )
-    return DOMINATOR_ROOT_CAP
 
 
 class QBFResult:
@@ -294,11 +280,10 @@ def solve_exists_forall_circuit(
     roots.sort(key=lambda n: -levels[n])
     verifier_vars = {name: out_vars[name] for name in roots if name in out_vars}
     iterations = 0
-    root_cap = _dominator_root_cap()
+    root_cap = DOMINATOR_ROOT_CAP
     if len(roots) > root_cap:
         _LOG.info(
-            "dominator-constant probe: examining %d of %d key-only roots "
-            "(raise REPRO_QBF_ROOT_CAP to probe more)",
+            "dominator-constant probe: examining %d of %d key-only roots",
             root_cap, len(roots),
         )
     for root in roots[:root_cap]:

@@ -59,13 +59,11 @@ Python can read the clock and either resume or abandon the search.
 
 Caching, fallback, knobs
 ------------------------
-Shared with the simulation engine via :mod:`repro.nativelib`: the core
-is content-addressed under the same cache directory, published
-atomically, and every failure (no compiler, failed compile, corrupt
-cache entry) degrades silently to the pure-Python loops, latched per
-component — a broken solver build never disables the simulation engine
-and vice versa.  ``REPRO_NATIVE=0`` disables everything;
-``REPRO_NATIVE_SOLVER=0`` disables only this core.
+Built and loaded through :mod:`repro.nativelib`: the core is
+content-addressed under its cache directory, published atomically, and
+every failure (no compiler, failed compile, corrupt cache entry)
+degrades silently to the pure-Python loops, latched once per process.
+``REPRO_NATIVE=0`` or ``REPRO_NATIVE_SOLVER=0`` disables it.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ if "REPRO_PREP_STORE_DIR" not in os.environ:
     _store_dir = tempfile.mkdtemp(prefix="repro-prepstore-test-")
     os.environ["REPRO_PREP_STORE_DIR"] = _store_dir
     atexit.register(shutil.rmtree, _store_dir, ignore_errors=True)
-# Same hermeticity for the native-engine .so cache (tests corrupt cache
+# Same hermeticity for the native solver core's .so cache (tests corrupt cache
 # entries on purpose).
 if "REPRO_NATIVE_CACHE_DIR" not in os.environ:
     _native_dir = tempfile.mkdtemp(prefix="repro-nativecache-test-")

@@ -1,9 +1,8 @@
 """Randomized differential tests: compiled engine vs the reference interpreter.
 
 Every execution path of :class:`repro.netlist.engine.CompiledCircuit`
-(exec-compiled kernels, the instruction interpreter, chunked exhaustive
-sweeps, and the native C backend where the host can build it) must be
-bit-identical to :meth:`Circuit.evaluate_interpreted`, the dict-keyed
+(exec-compiled kernels, the instruction interpreter and chunked
+exhaustive sweeps) must be bit-identical to :meth:`Circuit.evaluate_interpreted`, the dict-keyed
 reference semantics, on every signal — across gate types, fan-in shapes,
 word widths, and structural mutation of the circuit.
 """
@@ -13,7 +12,6 @@ import random
 import pytest
 
 from factories import build_exotic_circuit, build_random_circuit
-from repro.netlist import native as native_backend
 from repro.netlist.engine import CompiledCircuit, DEFAULT_CHUNK_BITS
 from repro.netlist.simulate import exhaustive_patterns
 
@@ -216,107 +214,3 @@ def test_oracle_pack_rederives_after_circuit_mutation():
     y = oracle.query({**pattern, "late_in": True})
     assert oracle.pack_builds == 2
     assert y["late_or"] == 1
-
-
-# ----------------------------------------------------------------------
-# native (C) backend vs the Python engine
-# ----------------------------------------------------------------------
-
-needs_native = pytest.mark.skipif(
-    not native_backend.native_available(),
-    reason="native backend unavailable (REPRO_NATIVE=0 or no compiler)",
-)
-
-
-def _force_native(circuit):
-    engine = CompiledCircuit(circuit, native=True)
-    assert engine.ensure_native(force=True), native_backend.last_error()
-    return engine
-
-
-@needs_native
-@pytest.mark.parametrize("kind", sorted(FACTORIES))
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("width", WIDTHS)
-def test_native_backend_matches_interpreted(kind, seed, width):
-    circuit = FACTORIES[kind](seed)
-    engine = _force_native(circuit)
-    assignment, mask = _random_assignment(circuit, width, seed)
-    assert engine.evaluate(assignment, mask) == circuit.evaluate_interpreted(
-        assignment, mask
-    )
-
-
-@needs_native
-@pytest.mark.parametrize("chunk_bits", (2, 5, 7, DEFAULT_CHUNK_BITS))
-@pytest.mark.parametrize("seed", range(3))
-def test_native_chunked_sweep_matches_engine(chunk_bits, seed):
-    """Engine-vs-native across chunk widths spanning the 64-lane period
-    boundary (chunk_bits > 6 exercises the C-side lane stimulus)."""
-    circuit = build_random_circuit(n_inputs=8, n_gates=35, n_outputs=4, seed=seed)
-    names = list(circuit.inputs)
-    native_out, native_mask = _force_native(circuit).exhaustive_outputs(
-        names, chunk_bits=chunk_bits
-    )
-    engine_out, engine_mask = CompiledCircuit(
-        circuit, native=False
-    ).exhaustive_outputs(names, chunk_bits=chunk_bits)
-    assert native_mask == engine_mask
-    assert native_out == engine_out
-
-
-@needs_native
-@pytest.mark.parametrize("seed", range(3))
-def test_native_subset_sweep_with_fixed_inputs(seed):
-    circuit = build_random_circuit(n_inputs=8, n_gates=35, n_outputs=4, seed=seed)
-    names = list(circuit.inputs)
-    swept, pinned = names[:5], names[5:]
-    fixed = {name: i % 2 for i, name in enumerate(pinned)}
-    native_out, _ = _force_native(circuit).exhaustive_outputs(
-        swept, fixed=fixed, chunk_bits=3
-    )
-    engine_out, _ = CompiledCircuit(circuit, native=False).exhaustive_outputs(
-        swept, fixed=fixed, chunk_bits=3
-    )
-    assert native_out == engine_out
-
-
-@needs_native
-@pytest.mark.parametrize("seed", range(4))
-def test_native_batch_entry_points_match(seed):
-    """output_words / output_words_from_list agree across backends."""
-    circuit = build_exotic_circuit(seed=seed)
-    native_engine = _force_native(circuit)
-    python_engine = CompiledCircuit(circuit, native=False)
-    rng = random.Random(("native-batch", seed).__str__())
-    for width in (1, 64, 200):
-        mask = (1 << width) - 1
-        assignment = {n: rng.getrandbits(width) for n in circuit.inputs}
-        assert native_engine.output_words(assignment, mask) == (
-            python_engine.output_words(assignment, mask)
-        )
-        words = [assignment[n] for n in native_engine.input_names]
-        assert native_engine.output_words_from_list(words, mask) == (
-            python_engine.output_words_from_list(words, mask)
-        )
-
-
-@needs_native
-def test_native_post_mutation_rebuild(small_mutations=4):
-    """Mutation invalidates the cached engine; the fresh native bind
-    must track the new structure."""
-    circuit = build_random_circuit(n_inputs=6, n_gates=120, n_outputs=3, seed=11)
-    engine = circuit.compiled()
-    engine.ensure_native(force=True)
-    for step in range(small_mutations):
-        a, b = list(circuit.inputs)[:2]
-        circuit.add_gate(f"nm{step}", "XOR", (a, b))
-        circuit.set_outputs(list(circuit.outputs) + [f"nm{step}"])
-        fresh = circuit.compiled()
-        assert fresh is not engine
-        fresh.ensure_native(force=True)
-        assignment, mask = _random_assignment(circuit, 65, step)
-        assert fresh.evaluate(assignment, mask) == (
-            circuit.evaluate_interpreted(assignment, mask)
-        )
-        engine = fresh

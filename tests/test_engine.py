@@ -93,7 +93,7 @@ class TestChunkedSweep:
 
     def test_default_chunk_width(self):
         circuit = build_random_circuit(n_inputs=14, n_gates=50, seed=4)
-        engine = CompiledCircuit(circuit, native=False)
+        engine = CompiledCircuit(circuit)
         width = 1 << DEFAULT_CHUNK_BITS
         chunks = [(offset, w) for offset, w, _m, _o in engine.sweep_exhaustive()]
         assert chunks == [(0, width), (width, width)]
@@ -248,6 +248,17 @@ class TestCompiledCache:
             words, mask
         )
         assert dup.evaluate(words, mask) == dup.evaluate_interpreted(words, mask)
+
+    def test_ephemeral_circuit_never_compiles(self):
+        circuit = build_random_circuit(
+            n_inputs=8, n_gates=150, n_outputs=4, seed=5
+        ).mark_ephemeral()
+        engine = circuit.compiled()
+        assignment = {n: 0 for n in circuit.inputs}
+        for _ in range(CompiledCircuit._COMPILE_AFTER_RUNS + 5):
+            engine.evaluate(assignment, 1)
+        assert engine.backend == "interpreted"
+        assert engine.ensure_native(force=True) is False
 
 
 class TestPatternHelpers:

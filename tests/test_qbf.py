@@ -266,8 +266,10 @@ class TestDominatorRootCap:
     def test_env_knob_caps_roots_and_logs(self, monkeypatch, caplog):
         import logging
 
+        from repro.qbf import solver as qbf_solver
+
         circuit, keys = self._wide_unit()
-        monkeypatch.setenv("REPRO_QBF_ROOT_CAP", "2")
+        monkeypatch.setattr(qbf_solver, "DOMINATOR_ROOT_CAP", 2)
         with caplog.at_level(logging.INFO, logger="repro.qbf.solver"):
             result = solve_exists_forall_circuit(
                 circuit, keys, ["x"], "out", 0
@@ -276,17 +278,3 @@ class TestDominatorRootCap:
         dropped = [r for r in caplog.records
                    if "key-only roots" in r.getMessage()]
         assert dropped, "dropping roots must be logged, never silent"
-
-    def test_bad_env_knob_falls_back_to_default(self, monkeypatch):
-        from repro.qbf import solver as qbf_solver
-
-        monkeypatch.setenv("REPRO_QBF_ROOT_CAP", "not-a-number")
-        assert qbf_solver._dominator_root_cap() == (
-            qbf_solver.DOMINATOR_ROOT_CAP
-        )
-        monkeypatch.setenv("REPRO_QBF_ROOT_CAP", "7")
-        assert qbf_solver._dominator_root_cap() == 7
-        monkeypatch.delenv("REPRO_QBF_ROOT_CAP")
-        assert qbf_solver._dominator_root_cap() == (
-            qbf_solver.DOMINATOR_ROOT_CAP
-        )

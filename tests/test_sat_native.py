@@ -1,24 +1,21 @@
-"""Native (C) solver core: gating, caching, and per-component fallback.
+"""Native (C) solver core: gating, caching, and fallback.
 
-Bit-identity of the native propagation core against the Python loop is
+Bit-identity of the native search core against the Python loop is
 covered at fuzz depth in ``tests/test_solver_differential.py``; this
-module owns the lifecycle: environment knobs, the compile-once
-content-addressed cache shared with the simulation engine, corrupt
-cache recovery, and — the load-bearing guarantee — that each native
-component degrades *independently* (a broken solver build must never
-disable the simulation engine, and vice versa).
+module owns the lifecycle: environment knobs, compiler discovery
+(:mod:`repro.nativelib`), the compile-once content-addressed cache,
+corrupt cache recovery, and the guarantee that every failure degrades
+to the Python loop with the same answers.
 """
 
 import multiprocessing
 import os
+import shutil
 
 import pytest
 
-from factories import build_random_circuit, random_3cnf
+from factories import random_3cnf
 from repro import nativelib
-from repro.benchgen.registry import generate_host
-from repro.netlist import native as sim_native
-from repro.netlist.engine import CompiledCircuit
 from repro.sat import Solver
 from repro.sat import native as sat_native
 
@@ -29,7 +26,7 @@ needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on host")
 
 @pytest.fixture
 def cache_dir(tmp_path, monkeypatch):
-    """Fresh cache dir per test; load outcomes for both components reset.
+    """Fresh cache dir per test; the core's load outcome is reset.
 
     The ambient environment is pinned to native-on so the suite means
     the same thing under e.g. ``REPRO_NATIVE=0``; tests that exercise
@@ -37,13 +34,10 @@ def cache_dir(tmp_path, monkeypatch):
     """
     monkeypatch.setenv("REPRO_NATIVE", "1")
     monkeypatch.delenv("REPRO_NATIVE_SOLVER", raising=False)
-    monkeypatch.delenv("REPRO_NATIVE_SIM", raising=False)
     monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path / "cache"))
     sat_native.clear_core_cache()
-    sim_native.clear_engine_cache()
     yield str(tmp_path / "cache")
     sat_native.clear_core_cache()
-    sim_native.clear_engine_cache()
 
 
 def _solve_both(cnf, **kwargs):
@@ -74,15 +68,30 @@ class TestAvailability:
         monkeypatch.setenv("REPRO_NATIVE", "1")  # master switch on
         monkeypatch.setenv("REPRO_NATIVE_SOLVER", "0")
         assert not sat_native.native_enabled()
-        # The simulation component's *enablement* is untouched.
-        assert sim_native.native_enabled()
+        # The master switch itself stays on.
+        assert nativelib.native_enabled()
         assert Solver().backend == "python"
 
-    def test_sim_switch_leaves_solver_enabled(self, monkeypatch, cache_dir):
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        monkeypatch.setenv("REPRO_NATIVE_SIM", "0")
-        assert not sim_native.native_enabled()
-        assert sat_native.native_enabled()
+    def test_compiler_override_missing_binary(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE_CC", "/nonexistent/cc")
+        assert nativelib.find_compiler() is None
+        assert not sat_native.native_available()
+
+    @needs_cc
+    def test_compiler_override_bare_name_resolves_on_path(self, monkeypatch):
+        """REPRO_NATIVE_CC=gcc (the CC= idiom) must resolve via PATH."""
+        for name in ("cc", "gcc", "clang"):
+            resolved = shutil.which(name)
+            if resolved:
+                break
+        monkeypatch.setenv("REPRO_NATIVE_CC", name)
+        assert nativelib.find_compiler() == resolved
+        monkeypatch.setenv("REPRO_NATIVE_CC", "definitely-not-a-compiler")
+        assert nativelib.find_compiler() is None
+
+    def test_compiler_info_shape(self):
+        info = nativelib.compiler_info(sat_native.COMPONENT)
+        assert set(info) == {"cc", "available"}
 
     def test_build_core_degrades_to_none(self, monkeypatch, cache_dir):
         monkeypatch.setenv("REPRO_NATIVE", "1")
@@ -101,8 +110,8 @@ class TestAvailability:
         assert solver.model()[2] is True
 
     def test_native_cores_engage_whenever_they_can(self):
-        """Under the ambient environment both cores build and engage
-        exactly when native is enabled and a compiler is present.
+        """Under the ambient environment the solver core builds and
+        engages exactly when native is enabled and a compiler is present.
 
         The other native tests skip on a compiler-less host, so without
         this check a broken C build would pass the suite silently.  Run
@@ -113,32 +122,13 @@ class TestAvailability:
             os.environ.get("REPRO_NATIVE", "1") != "0"
             and nativelib.find_compiler() is not None
         )
-        assert sim_native.native_available() is expected
         assert sat_native.native_available() is expected
         assert (Solver().backend == "native") is expected, (
             sat_native.last_error()
         )
 
-        circuit = generate_host("c6288")
-        engine = CompiledCircuit(circuit, native=True)
-        assert engine.ensure_native(force=True) is expected, (
-            sim_native.last_error()
-        )
-        sub = list(circuit.inputs)[:12]
-        got, _ = engine.exhaustive_outputs(sub, chunk_bits=10)
-        want, _ = CompiledCircuit(circuit, native=False).exhaustive_outputs(
-            sub, chunk_bits=13
-        )
-        assert got == want
-
-
-@needs_cc
-class TestPerComponentDegradation:
-    """Satellite bugfix: one component's broken build must not take the
-    other down — the failure latch is per component, not global."""
-
-    def test_broken_solver_build_leaves_sim_native(self, monkeypatch,
-                                                   cache_dir):
+    @needs_cc
+    def test_broken_solver_build_falls_back(self, monkeypatch, cache_dir):
         monkeypatch.setattr(sat_native, "_CORE_SOURCE",
                             "#error deliberately broken solver core\n")
         assert sat_native.build_core() is None
@@ -147,30 +137,6 @@ class TestPerComponentDegradation:
         assert solver.backend == "python"
         solver.add_clause([1])
         assert solver.solve() is True
-        # The simulation engine still binds its own healthy library.
-        circuit = build_random_circuit(seed=0)
-        engine = CompiledCircuit(circuit, native=True)
-        assert engine.ensure_native(force=True), sim_native.last_error()
-        assert engine.backend == "native"
-
-    def test_broken_sim_build_leaves_solver_native(self, monkeypatch,
-                                                   cache_dir):
-        monkeypatch.setattr(
-            sim_native, "engine_source",
-            lambda: "#error deliberately broken sim engine\n")
-        circuit = build_random_circuit(seed=0)
-        engine = CompiledCircuit(circuit, native=True)
-        assert engine.ensure_native(force=True) is False
-        assert sim_native.last_error() is not None
-        solver = Solver()
-        assert solver.backend == "native", sat_native.last_error()
-
-    def test_error_latches_are_per_component(self, monkeypatch, cache_dir):
-        monkeypatch.setattr(sat_native, "_CORE_SOURCE",
-                            "#error deliberately broken solver core\n")
-        assert sat_native.build_core() is None
-        assert sat_native.last_error() is not None
-        assert sim_native.last_error() is None
 
 
 @needs_cc
@@ -183,13 +149,8 @@ class TestCache:
         entries_after = [f for f in os.listdir(cache_dir) if f.endswith(".so")]
         assert entries_after == entries
 
-    def test_solver_and_sim_share_one_cache_directory(self, cache_dir):
-        assert Solver().backend == "native"
-        engine = CompiledCircuit(build_random_circuit(seed=0), native=True)
-        assert engine.ensure_native(force=True)
-        entries = sorted(f for f in os.listdir(cache_dir)
-                         if f.endswith(".so"))
-        assert len(entries) == 2  # one solver core + one sim engine
+    def test_no_tmp_files_left_behind(self, cache_dir):
+        assert Solver().backend == "native", sat_native.last_error()
         assert [f for f in os.listdir(cache_dir) if ".tmp." in f] == []
 
     def test_flags_and_compiler_are_part_of_the_cache_key(
