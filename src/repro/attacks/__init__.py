@@ -2,7 +2,7 @@
 
 from .appsat import appsat_attack
 from .ddip import ddip_attack
-from .dip import DipEngine, ScratchDipEngine, make_dip_engine, resolve_dip_mode
+from .dip import DipEngine, ScratchDipEngine, dip_loop
 from .kratt import kratt_og_attack, kratt_ol_attack
 from .metrics import AttackResult, KeyScore, complete_partial_key, score_key
 from .oracle import Oracle
@@ -21,8 +21,7 @@ __all__ = [
     "complete_partial_key",
     "DipEngine",
     "ScratchDipEngine",
-    "make_dip_engine",
-    "resolve_dip_mode",
+    "dip_loop",
     "sat_attack",
     "ddip_attack",
     "appsat_attack",

@@ -6,16 +6,15 @@ pairs that disagree on the same distinguishing input.  Against one-point
 corruption schemes (SARLock et al.) this halves the iteration count —
 still exponential, hence the OoT entries of Table III.
 
-Like :func:`repro.attacks.sat_attack.sat_attack`, the loop holds one
-persistent solver by default (``mode="incremental"``); ``"scratch"``
-selects the re-encode-per-iteration reference engine.
+The attack is :func:`repro.attacks.dip.dip_loop` with two DIPs per
+round, over the same persistent :class:`~repro.attacks.dip.DipEngine`
+as :func:`repro.attacks.sat_attack.sat_attack`.
 """
 
 from __future__ import annotations
 
 from ..budget import Deadline
-from .dip import make_dip_engine, resolve_dip_mode
-from .metrics import AttackResult
+from .dip import DipEngine, dip_loop
 
 __all__ = ["ddip_attack"]
 
@@ -27,7 +26,6 @@ def ddip_attack(
     time_limit=60.0,
     max_iterations=None,
     technique="?",
-    mode=None,
     canonical=False,
     record_dips=False,
 ):
@@ -36,76 +34,17 @@ def ddip_attack(
     Each round finds a DIP, queries the oracle, and then — while the
     budget allows — immediately finds and resolves a *second* DIP before
     the next satisfiability check, eliminating at least two wrong keys
-    per round on point-function locks.  ``time_limit`` is float seconds
-    or a shared :class:`repro.budget.Deadline`.  ``mode`` /
+    per round on point-function locks.  ``iterations`` counts the rounds
+    started, and ``max_iterations`` caps them.  ``time_limit`` /
     ``canonical`` / ``record_dips`` behave exactly as in
     :func:`~repro.attacks.sat_attack.sat_attack`.
     """
     deadline = Deadline.of(time_limit)
-    start = deadline.now()
-    mode = resolve_dip_mode(mode)
-    engine = make_dip_engine(circuit, key_inputs, mode=mode)
-    iterations = 0
-    queries_before = oracle.query_count
-    dips = [] if record_dips else None
-
-    def details(extra=None):
-        d = {"mode": mode}
-        if dips is not None:
-            d["dips"] = list(dips)
-        if extra:
-            d.update(extra)
-        return d
-
-    def timed_out_result(reason=None):
-        return AttackResult(
-            attack="ddip",
-            technique=technique,
-            circuit=circuit.name,
-            timed_out=True,
-            iterations=iterations,
-            elapsed=deadline.now() - start,
-            time_limit=deadline.limit,
-            oracle_queries=oracle.query_count - queries_before,
-            details=details({"reason": reason} if reason else None),
-        )
-
-    settled = False
-    while not settled:
-        if deadline.expired():
-            return timed_out_result()
-        if max_iterations is not None and iterations >= max_iterations:
-            return timed_out_result("iteration limit")
-        iterations += 1
-        # Two DIP eliminations per iteration.
-        for _ in range(2):
-            if deadline.expired():
-                return timed_out_result()
-            status, x = engine.find_dip(time_limit=deadline, canonical=canonical)
-            if status is None:
-                return timed_out_result()
-            if status is False:
-                settled = True
-                break
-            y = oracle.query(x)
-            if dips is not None:
-                dips.append((
-                    tuple(bool(x[s]) for s in engine.data_inputs),
-                    tuple(bool(y[o]) for o in circuit.outputs),
-                ))
-            engine.add_io_constraint(x, y)
-
-    key = engine.extract_key(time_limit=deadline, canonical=canonical)
-    return AttackResult(
-        attack="ddip",
-        technique=technique,
-        circuit=circuit.name,
-        key=key or {},
-        success=key is not None,
-        timed_out=key is None,
-        iterations=iterations,
-        elapsed=deadline.now() - start,
-        time_limit=deadline.limit,
-        oracle_queries=oracle.query_count - queries_before,
-        details=details(),
+    started = deadline.now()
+    result, rounds = dip_loop(
+        DipEngine(circuit, key_inputs), oracle, "ddip", dips_per_round=2,
+        time_limit=deadline, max_rounds=max_iterations, started=started,
+        technique=technique, canonical=canonical, record_dips=record_dips,
     )
+    result.iterations = rounds
+    return result

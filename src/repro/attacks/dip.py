@@ -7,7 +7,9 @@ an input on which two keys that agree with all observations so far still
 produce different outputs.  Each oracle query then pins both key copies
 to the observed behaviour, shrinking the surviving key space.
 
-Two engines implement the same interface:
+:func:`dip_loop` is that loop, shared by the SAT attack (one DIP per
+round) and Double-DIP (two); it drives any engine handed to it.  Two
+engines implement the interface it uses:
 
 * :class:`DipEngine` — the production path.  ONE persistent
   :class:`~repro.sat.solver.Solver` per attack: Tseitin allocation is
@@ -17,11 +19,12 @@ Two engines implement the same interface:
   key-hypothesis, key extraction — is an assumption probe against the
   same instance, so learned clauses and branching heat survive from one
   iteration to the next.
-* :class:`ScratchDipEngine` — the from-scratch reference loop the
-  differential suite grades the incremental path against.  Every query
+* :class:`ScratchDipEngine` — the from-scratch reference the
+  differential suite grades the incremental path against, by handing it
+  to :func:`dip_loop` in place of a :class:`DipEngine`.  Every query
   rebuilds the entire formula (base miter + all accumulated IO
   constraints) into a cold solver, the way the classic attack
-  re-encodes each iteration.
+  re-encodes each iteration.  No attack builds one.
 
 Because a CDCL solver's *model* depends on its search history, raw DIPs
 from a warm and a cold solver need not match even though both are valid.
@@ -34,44 +37,89 @@ is exactly what ``tests/test_incremental_differential.py`` asserts.
 
 from __future__ import annotations
 
-import os
-
+from ..budget import Deadline
 from ..sat.solver import Solver
 from ..sat.tseitin import VarRegistry, encode_into_solver
+from .metrics import AttackResult
 
-__all__ = [
-    "DIP_MODES",
-    "DipEngine",
-    "ScratchDipEngine",
-    "make_dip_engine",
-    "resolve_dip_mode",
-]
-
-#: Engine selection: ``incremental`` is the production default,
-#: ``scratch`` the classic rebuild-per-iteration reference.
-DIP_MODES = ("incremental", "scratch")
+__all__ = ["DipEngine", "ScratchDipEngine", "dip_loop"]
 
 
-def resolve_dip_mode(mode=None):
-    """Resolve the DIP engine mode: explicit arg > ``REPRO_SAT_MODE`` env.
+def dip_loop(
+    engine,
+    oracle,
+    attack,
+    dips_per_round=1,
+    time_limit=60.0,
+    max_rounds=None,
+    technique="?",
+    canonical=False,
+    record_dips=False,
+    started=None,
+):
+    """The oracle-guided DIP loop behind the SAT and Double-DIP attacks.
 
-    Defaults to ``incremental``.  Raises :class:`ValueError` on unknown
-    modes so typos in the knob fail loudly instead of silently running
-    the wrong loop.
+    Each round resolves up to ``dips_per_round`` DIPs: find one on
+    ``engine``, query ``oracle`` on it, pin both key copies to the
+    answer.  The loop ends when no DIP is left (the surviving key is
+    extracted), when ``time_limit`` (float seconds or a shared
+    :class:`repro.budget.Deadline`) runs out, or when ``max_rounds``
+    rounds have started (a time-out with ``details["reason"]`` set to
+    ``"iteration limit"``).  The clock is checked before every DIP
+    search, and the same deadline bounds every solver call.  ``started``
+    is the clock reading the attack began at (default: now), so an entry
+    point that builds ``engine`` first can count the build in
+    ``elapsed``.
+
+    ``canonical`` and ``record_dips`` are described in
+    :func:`~repro.attacks.sat_attack.sat_attack`.
+
+    Returns ``(result, rounds)``: an :class:`AttackResult` whose
+    ``iterations`` counts the DIPs resolved, and the number of rounds
+    started, counting the round that found no DIP or ran out of budget.
     """
-    mode = mode or os.environ.get("REPRO_SAT_MODE") or "incremental"
-    if mode not in DIP_MODES:
-        raise ValueError(
-            f"unknown DIP engine mode {mode!r}; pick from {DIP_MODES}"
-        )
-    return mode
+    deadline = Deadline.of(time_limit)
+    start = deadline.now() if started is None else started
+    queries_before = oracle.query_count
+    outputs = engine.circuit.outputs
+    details = {"dips": []} if record_dips else {}
+    rounds = resolved = 0
+    key = None
+    while not deadline.expired():
+        if resolved % dips_per_round == 0:
+            if max_rounds is not None and rounds >= max_rounds:
+                details["reason"] = "iteration limit"
+                break
+            rounds += 1
+        status, x = engine.find_dip(time_limit=deadline, canonical=canonical)
+        if status is None:
+            break
+        if status is False:
+            key = engine.extract_key(time_limit=deadline, canonical=canonical)
+            break
+        resolved += 1
+        y = oracle.query(x)
+        if record_dips:
+            details["dips"].append((
+                tuple(bool(x[s]) for s in engine.data_inputs),
+                tuple(bool(y[o]) for o in outputs),
+            ))
+        engine.add_io_constraint(x, y)
 
-
-def make_dip_engine(circuit, key_inputs, mode=None, solver_factory=Solver):
-    """Build the DIP engine for ``mode`` (see :func:`resolve_dip_mode`)."""
-    mode = resolve_dip_mode(mode)
-    cls = DipEngine if mode == "incremental" else ScratchDipEngine
-    return cls(circuit, key_inputs, solver_factory=solver_factory)
+    result = AttackResult(
+        attack=attack,
+        technique=technique,
+        circuit=engine.circuit.name,
+        key=key or {},
+        success=key is not None,
+        timed_out=key is None,
+        iterations=resolved,
+        elapsed=deadline.now() - start,
+        time_limit=deadline.limit,
+        oracle_queries=oracle.query_count - queries_before,
+        details=details,
+    )
+    return result, rounds
 
 
 class DipEngine:
@@ -88,8 +136,6 @@ class DipEngine:
         Constructor for the persistent solver instance (tests inject
         recording/instrumented solvers here).
     """
-
-    mode = "incremental"
 
     def __init__(self, circuit, key_inputs, solver_factory=Solver):
         self.circuit = circuit
@@ -157,8 +203,7 @@ class DipEngine:
     # ------------------------------------------------------------------
     # queries (assumption probes against the one persistent instance)
     # ------------------------------------------------------------------
-    def find_dip(self, time_limit=None, max_conflicts=None,
-                 extra_assumptions=(), canonical=False):
+    def find_dip(self, time_limit=None, max_conflicts=None, canonical=False):
         """Search for a DIP.
 
         Returns ``(status, x_assignment)``: status True with the input
@@ -170,7 +215,7 @@ class DipEngine:
         probe per input bit — a pure function of the formula, identical
         across warm and cold solvers.
         """
-        base = [self.diff_var, *extra_assumptions]
+        base = [self.diff_var]
         status = self.solver.solve(
             base, time_limit=time_limit, max_conflicts=max_conflicts
         )
@@ -262,28 +307,15 @@ class DipEngine:
         """Current candidate key (used by AppSAT between rounds)."""
         return self.extract_key()
 
-    def key_assumptions(self, key):
-        """Assumption literals pinning key copy 1 to ``key``."""
-        return [
-            v if key[s] else -v for s, v in self.k1_vars.items()
-        ]
-
     def check_key(self, key, time_limit=None, max_conflicts=None):
         """Key-hypothesis probe: is ``key`` consistent with every
         observation so far?  Pure assumption query — True / False / None
         (budget), no clause is added and the instance stays reusable."""
         return self.solver.solve(
-            self.key_assumptions(key),
+            [v if key[s] else -v for s, v in self.k1_vars.items()],
             time_limit=time_limit,
             max_conflicts=max_conflicts,
         )
-
-    def forbid_key(self, key):
-        """Block one key assignment from copy 1 (used in tests/diagnostics)."""
-        clause = [
-            -v if key[s] else v for s, v in self.k1_vars.items()
-        ]
-        self.solver.add_clause(clause)
 
 
 class ScratchDipEngine:
@@ -303,8 +335,6 @@ class ScratchDipEngine:
     construction.
     """
 
-    mode = "scratch"
-
     def __init__(self, circuit, key_inputs, solver_factory=Solver):
         self.circuit = circuit
         self.key_inputs = list(key_inputs)
@@ -312,7 +342,6 @@ class ScratchDipEngine:
         self.data_inputs = [s for s in circuit.inputs if s not in key_set]
         self._solver_factory = solver_factory
         self._constraints = []  # ordered (x, y) observations
-        self._forbidden = []  # keys blocked via forbid_key
         self.builds = 0  # fresh encodes performed (test observability)
         self._engine = self._rebuild()
 
@@ -323,42 +352,21 @@ class ScratchDipEngine:
         )
         for x, y in self._constraints:
             engine.add_io_constraint(x, y)
-        for key in self._forbidden:
-            engine.forbid_key(key)
         self.builds += 1
         self._engine = engine
         return engine
 
     @property
-    def solver(self):
-        """The most recent cold solver (rebuilt on every query)."""
-        return self._engine.solver
-
-    @property
     def num_vars(self):
         return self._engine.num_vars
-
-    @property
-    def x_vars(self):
-        return self._engine.x_vars
-
-    @property
-    def k1_vars(self):
-        return self._engine.k1_vars
-
-    @property
-    def k2_vars(self):
-        return self._engine.k2_vars
 
     def varmap_snapshot(self):
         return self._engine.varmap_snapshot()
 
-    def find_dip(self, time_limit=None, max_conflicts=None,
-                 extra_assumptions=(), canonical=False):
+    def find_dip(self, time_limit=None, max_conflicts=None, canonical=False):
         return self._rebuild().find_dip(
             time_limit=time_limit,
             max_conflicts=max_conflicts,
-            extra_assumptions=extra_assumptions,
             canonical=canonical,
         )
 
@@ -375,13 +383,7 @@ class ScratchDipEngine:
     def key_candidate(self):
         return self.extract_key()
 
-    def key_assumptions(self, key):
-        return self._engine.key_assumptions(key)
-
     def check_key(self, key, time_limit=None, max_conflicts=None):
         return self._rebuild().check_key(
             key, time_limit=time_limit, max_conflicts=max_conflicts
         )
-
-    def forbid_key(self, key):
-        self._forbidden.append(dict(key))

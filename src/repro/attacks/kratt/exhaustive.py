@@ -65,7 +65,8 @@ def _verify_key(locked, key_inputs, key, oracle, samples=128, extra_patterns=())
     """Cheap oracle-based key validation (random + targeted patterns).
 
     All candidate-side evaluations run as one wide-word pass through the
-    compiled engine instead of one scalar evaluation per pattern.
+    compiled engine instead of one scalar evaluation per pattern, and the
+    oracle answers as output words, so the check is one XOR per output.
     """
     import random as _random
 
@@ -79,16 +80,15 @@ def _verify_key(locked, key_inputs, key, oracle, samples=128, extra_patterns=())
     patterns.append({s: 1 for s in data_inputs})
     for _ in range(samples):
         patterns.append({s: rng.getrandbits(1) for s in data_inputs})
-    observed = oracle.query_batch(patterns)
+    observed = oracle.query_batch(patterns, words=True)
 
     engine = locked.compiled()
     words, mask = engine.pack_input_words(patterns, fixed=key_fixed)
     got_words = engine.output_words_from_list(words, mask)
-    for o, word in zip(engine.output_names, got_words):
-        for j, y in enumerate(observed):
-            if ((word >> j) & 1) != y[o]:
-                return False
-    return True
+    return not any(
+        (word ^ observed[o]) & mask
+        for o, word in zip(engine.output_names, got_words)
+    )
 
 
 def _key_sources(ppis, key_of_ppi):

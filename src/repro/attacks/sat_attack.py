@@ -9,20 +9,17 @@ Against the SAT-resilient schemes KRATT targets, every DIP eliminates a
 constant number of keys, so the loop needs exponentially many iterations
 — the attack times out (the ``OoT`` entries of Table III).
 
-The loop is *incremental* by default: one persistent solver carries the
-growing miter across iterations (``mode="incremental"``); DIP
-constraints land as permanent clauses and the find-DIP / termination /
-key-extraction queries are assumption probes against that instance.
-``mode="scratch"`` runs the classic re-encode-every-iteration reference
-loop the differential suite compares against (see
-:mod:`repro.attacks.dip`).
+The attack is :func:`repro.attacks.dip.dip_loop` with one DIP per round
+over a :class:`~repro.attacks.dip.DipEngine`: one persistent solver
+carries the growing miter across iterations; DIP constraints land as
+permanent clauses and the find-DIP / termination / key-extraction
+queries are assumption probes against that instance.
 """
 
 from __future__ import annotations
 
 from ..budget import Deadline
-from .dip import make_dip_engine, resolve_dip_mode
-from .metrics import AttackResult
+from .dip import DipEngine, dip_loop
 
 __all__ = ["sat_attack"]
 
@@ -34,7 +31,6 @@ def sat_attack(
     time_limit=60.0,
     max_iterations=None,
     technique="?",
-    mode=None,
     canonical=False,
     record_dips=False,
 ):
@@ -54,80 +50,26 @@ def sat_attack(
         reproducing the paper's OoT entries at laptop scale.  The same
         deadline bounds every solver call, so ``timed_out`` and
         ``elapsed`` come from one clock.
-    mode:
-        ``"incremental"`` (persistent solver, default) or ``"scratch"``
-        (rebuild per iteration); defaults from ``REPRO_SAT_MODE``.
+    max_iterations:
+        Stop with a time-out after this many DIPs.
     canonical:
         Extract lexicographically-smallest DIPs and key via assumption
-        probes — solver-state-independent answers, so runs in different
-        modes are comparable bit-for-bit (used by the differential
-        suite; costs one probe per input bit per iteration).
+        probes — solver-state-independent answers, so the persistent
+        engine and the from-scratch reference are comparable
+        bit-for-bit (used by the differential suite; costs one probe
+        per input bit per iteration).
     record_dips:
         Keep the visited DIP sequence in ``result.details["dips"]`` as
         ``(x_bits, y_bits)`` tuples in ``data_inputs`` / output order.
 
-    Returns an :class:`AttackResult`; ``result.key`` is complete on
-    success.
+    Returns an :class:`AttackResult` whose ``iterations`` counts the
+    DIPs resolved; ``result.key`` is complete on success.
     """
     deadline = Deadline.of(time_limit)
-    start = deadline.now()
-    mode = resolve_dip_mode(mode)
-    engine = make_dip_engine(circuit, key_inputs, mode=mode)
-    iterations = 0
-    queries_before = oracle.query_count
-    dips = [] if record_dips else None
-
-    def details(extra=None):
-        d = {"mode": mode}
-        if dips is not None:
-            d["dips"] = list(dips)
-        if extra:
-            d.update(extra)
-        return d
-
-    def timed_out_result(reason=None):
-        return AttackResult(
-            attack="sat",
-            technique=technique,
-            circuit=circuit.name,
-            timed_out=True,
-            iterations=iterations,
-            elapsed=deadline.now() - start,
-            time_limit=deadline.limit,
-            oracle_queries=oracle.query_count - queries_before,
-            details=details({"reason": reason} if reason else None),
-        )
-
-    while True:
-        if deadline.expired():
-            return timed_out_result()
-        if max_iterations is not None and iterations >= max_iterations:
-            return timed_out_result("iteration limit")
-        status, x = engine.find_dip(time_limit=deadline, canonical=canonical)
-        if status is None:
-            return timed_out_result()
-        if status is False:
-            break
-        iterations += 1
-        y = oracle.query(x)
-        if dips is not None:
-            dips.append((
-                tuple(bool(x[s]) for s in engine.data_inputs),
-                tuple(bool(y[o]) for o in circuit.outputs),
-            ))
-        engine.add_io_constraint(x, y)
-
-    key = engine.extract_key(time_limit=deadline, canonical=canonical)
-    return AttackResult(
-        attack="sat",
-        technique=technique,
-        circuit=circuit.name,
-        key=key or {},
-        success=key is not None,
-        timed_out=key is None,
-        iterations=iterations,
-        elapsed=deadline.now() - start,
-        time_limit=deadline.limit,
-        oracle_queries=oracle.query_count - queries_before,
-        details=details(),
+    started = deadline.now()
+    result, _ = dip_loop(
+        DipEngine(circuit, key_inputs), oracle, "sat",
+        time_limit=deadline, max_rounds=max_iterations, started=started,
+        technique=technique, canonical=canonical, record_dips=record_dips,
     )
+    return result

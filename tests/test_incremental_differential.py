@@ -5,9 +5,11 @@ and the classic re-encode-every-iteration reference
 (:class:`repro.attacks.dip.ScratchDipEngine`) must be observationally
 identical: under canonical (lexicographically-smallest, assumption-probe)
 extraction both engines are pure functions of the formula, so
-``sat_attack`` and ``ddip_attack`` must recover the same key, visit the
-same DIP sequence, and report the same status across all five locking
-techniques — and the recovered key must actually unlock the circuit.
+the shared DIP loop (:func:`repro.attacks.dip.dip_loop`) must recover
+the same key, visit the same DIP sequence, and report the same status
+over either engine, at one DIP per round (SAT attack) and two
+(Double-DIP), across all five locking techniques — and the recovered key
+must actually unlock the circuit.
 
 Deadline expiry mid-iteration is driven by the fake clock from
 ``tests/test_budget.py``: both engines must classify the run as a
@@ -23,10 +25,7 @@ from repro.attacks import (
     DipEngine,
     Oracle,
     ScratchDipEngine,
-    ddip_attack,
-    make_dip_engine,
-    resolve_dip_mode,
-    sat_attack,
+    dip_loop,
 )
 from repro.budget import Deadline
 from repro.corpus import resolve_circuit
@@ -36,7 +35,9 @@ from repro.netlist.simulate import random_patterns
 #: The five techniques of the QBF-vs-exhaustive layer (SFLTs + DFLTs).
 TECHNIQUES = ["antisat", "caslock", "sarlock", "ttlock", "cac"]
 
-ATTACKS = {"sat": sat_attack, "ddip": ddip_attack}
+#: DIPs per round of each attack the loop runs.
+ATTACKS = {"sat": 1, "ddip": 2}
+ENGINES = {"incremental": DipEngine, "scratch": ScratchDipEngine}
 
 
 class FakeClock:
@@ -57,14 +58,15 @@ def _locked(technique, seed=1):
     )
 
 
-def _run(attack, locked, mode, technique, **kwargs):
-    oracle = Oracle(locked.original)
-    return attack(
-        locked.circuit,
-        locked.key_inputs,
-        oracle,
+def _run(attack_name, locked, mode, technique="?", **kwargs):
+    """The shared loop over a fresh ``mode`` engine: ``(result, rounds)``."""
+    engine = ENGINES[mode](locked.circuit, locked.key_inputs)
+    return dip_loop(
+        engine,
+        Oracle(locked.original),
+        attack_name,
+        dips_per_round=ATTACKS[attack_name],
         technique=technique,
-        mode=mode,
         **kwargs,
     )
 
@@ -85,24 +87,24 @@ def _assert_key_unlocks(locked, key):
 @pytest.mark.parametrize("technique", TECHNIQUES)
 @pytest.mark.parametrize("attack_name", sorted(ATTACKS))
 def test_incremental_matches_scratch_canonical(technique, attack_name):
-    attack = ATTACKS[attack_name]
     locked = _locked(technique)
     results = {
         mode: _run(
-            attack, locked, mode, technique,
+            attack_name, locked, mode, technique,
             time_limit=None, canonical=True, record_dips=True,
         )
-        for mode in ("incremental", "scratch")
+        for mode in ENGINES
     }
-    inc, scr = results["incremental"], results["scratch"]
-    assert inc.details["mode"] == "incremental"
-    assert scr.details["mode"] == "scratch"
-    # Identical status, key, DIP sequence, and iteration count.
+    (inc, inc_rounds), (scr, scr_rounds) = (
+        results["incremental"], results["scratch"]
+    )
+    # Identical status, key, DIP sequence, and iteration counts.
     assert (inc.success, inc.timed_out) == (scr.success, scr.timed_out)
     assert inc.success, f"{attack_name} failed on {technique}"
     assert inc.key == scr.key
     assert inc.details["dips"] == scr.details["dips"]
     assert inc.iterations == scr.iterations
+    assert inc_rounds == scr_rounds
     assert inc.oracle_queries == scr.oracle_queries
     _assert_key_unlocks(locked, inc.key)
 
@@ -112,8 +114,8 @@ def test_noncanonical_modes_agree_on_status_and_unlock(technique):
     """Without canonical extraction DIPs may differ between a warm and a
     cold solver, but the verdict and the key's correctness may not."""
     locked = _locked(technique, seed=3)
-    inc = _run(sat_attack, locked, "incremental", technique, time_limit=None)
-    scr = _run(sat_attack, locked, "scratch", technique, time_limit=None)
+    inc, _ = _run("sat", locked, "incremental", technique, time_limit=None)
+    scr, _ = _run("sat", locked, "scratch", technique, time_limit=None)
     assert (inc.success, inc.timed_out) == (scr.success, scr.timed_out)
     assert inc.success
     _assert_key_unlocks(locked, inc.key)
@@ -128,8 +130,8 @@ def test_modes_agree_on_corpus_netlist():
     are checked against the original on 256 seeded random patterns.
     """
     locked = lock_xor(resolve_circuit("corpus:c432").circuit, 8, seed=17)
-    inc = _run(sat_attack, locked, "incremental", "xor_lock", time_limit=None)
-    scr = _run(sat_attack, locked, "scratch", "xor_lock", time_limit=None)
+    inc, _ = _run("sat", locked, "incremental", "xor_lock", time_limit=None)
+    scr, _ = _run("sat", locked, "scratch", "xor_lock", time_limit=None)
     assert (inc.success, inc.timed_out) == (scr.success, scr.timed_out)
     assert inc.success
 
@@ -150,20 +152,17 @@ def test_modes_agree_on_corpus_netlist():
 
 
 @pytest.mark.parametrize("attack_name", sorted(ATTACKS))
-@pytest.mark.parametrize("mode", ["incremental", "scratch"])
+@pytest.mark.parametrize("mode", sorted(ENGINES))
 def test_deadline_expiry_mid_iteration(attack_name, mode):
-    """A fake-clock deadline spent mid-loop times out in either mode,
+    """A fake-clock deadline spent mid-loop times out on either engine,
     after real iterations have run (expiry hits *inside* the loop)."""
-    attack = ATTACKS[attack_name]
     locked = _locked("sarlock")
-    oracle = Oracle(locked.original)
     # Each clock reading advances 1ms; the attack needs hundreds of
     # solver-internal readings per iteration, so a 0.2s budget expires
     # after a few iterations, never before the first.
     deadline = Deadline.from_limit(0.2, clock=FakeClock(step=0.001))
-    result = attack(
-        locked.circuit, locked.key_inputs, oracle,
-        time_limit=deadline, technique="sarlock", mode=mode,
+    result, _ = _run(
+        attack_name, locked, mode, "sarlock", time_limit=deadline
     )
     assert result.timed_out and not result.success
     assert result.key == {}
@@ -171,41 +170,18 @@ def test_deadline_expiry_mid_iteration(attack_name, mode):
     assert result.iterations >= 1, "expiry should land mid-run, not at entry"
 
 
-@pytest.mark.parametrize("mode", ["incremental", "scratch"])
+@pytest.mark.parametrize("mode", sorted(ENGINES))
 def test_zero_budget_times_out_before_any_query(mode):
     locked = _locked("ttlock")
     oracle = Oracle(locked.original)
-    result = sat_attack(
-        locked.circuit, locked.key_inputs, oracle,
-        time_limit=0, mode=mode,
-    )
+    engine = ENGINES[mode](locked.circuit, locked.key_inputs)
+    result, _ = dip_loop(engine, oracle, "sat", time_limit=0)
     assert result.timed_out
     assert result.iterations == 0
     assert oracle.query_count == 0
 
 
 class TestEngineSeam:
-    def test_factory_and_env_knob(self, monkeypatch):
-        locked = _locked("ttlock")
-        assert isinstance(
-            make_dip_engine(locked.circuit, locked.key_inputs), DipEngine
-        )
-        assert isinstance(
-            make_dip_engine(locked.circuit, locked.key_inputs, mode="scratch"),
-            ScratchDipEngine,
-        )
-        monkeypatch.setenv("REPRO_SAT_MODE", "scratch")
-        assert resolve_dip_mode() == "scratch"
-        assert isinstance(
-            make_dip_engine(locked.circuit, locked.key_inputs),
-            ScratchDipEngine,
-        )
-        # Explicit argument beats the environment.
-        assert resolve_dip_mode("incremental") == "incremental"
-        monkeypatch.setenv("REPRO_SAT_MODE", "bogus")
-        with pytest.raises(ValueError):
-            resolve_dip_mode()
-
     def test_incremental_engine_is_one_persistent_solver(self):
         locked = _locked("sarlock")
         engine = DipEngine(locked.circuit, locked.key_inputs)
