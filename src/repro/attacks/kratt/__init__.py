@@ -24,6 +24,7 @@ from .qbf_attack import QbfAttackOutcome, qbf_key_search, tied_unit_is_constant
 from .removal import (
     UnitExtraction,
     associate_ppi_keys,
+    cube_columns,
     extract_unit,
     find_critical_signal,
     unit_off_value,
@@ -37,6 +38,7 @@ __all__ = [
     "extract_unit",
     "find_critical_signal",
     "associate_ppi_keys",
+    "cube_columns",
     "unit_off_value",
     "QbfAttackOutcome",
     "qbf_key_search",

@@ -31,6 +31,7 @@ from ...netlist.circuit import Circuit
 from ...netlist.gate import GateType
 from ...netlist.verify import prove_signal_constant
 from ...qbf.solver import solve_exists_forall_circuit
+from .removal import cube_columns
 
 __all__ = ["QbfAttackOutcome", "qbf_key_search", "tied_unit_is_constant"]
 
@@ -75,15 +76,21 @@ def qbf_key_search(extraction, time_limit=10.0, max_iterations=50_000):
     a deadline spent by the first solve makes the second return
     immediately instead of receiving a fresh grace slice.
 
-    Each PPI's first associated key is the solver's strategy hint, so a
-    restore unit is refuted by one lifted counterexample per polarity.
+    The solver's strategy hints are each PPI's first associated key, then
+    every cube column (:func:`~repro.attacks.kratt.removal.cube_columns`)
+    that differs from it, so a restore unit is refuted by one lifted
+    counterexample per polarity -- also SFLL-Flex, whose first keys mix
+    the cubes.
     """
     deadline = Deadline.of(time_limit)
     unit = extraction.unit
     cs1 = extraction.critical_signal
     keys = list(extraction.key_inputs)
     ppis = list(extraction.protected_inputs)
-    hint = {ppi: ks[0] for ppi, ks in extraction.key_of_ppi.items() if ks}
+    hints = [{ppi: ks[0] for ppi, ks in extraction.key_of_ppi.items() if ks}]
+    for column in cube_columns(unit, extraction.key_of_ppi):
+        if column not in hints:
+            hints.append(column)
 
     elapsed = 0.0
     iterations = 0
@@ -94,7 +101,7 @@ def qbf_key_search(extraction, time_limit=10.0, max_iterations=50_000):
             unit, keys, ppis, cs1, value,
             max_iterations=max_iterations,
             time_limit=deadline,
-            strategy_hint=hint,
+            strategy_hints=hints,
         )
         elapsed += result.elapsed
         iterations += result.iterations

@@ -14,7 +14,9 @@ Following Section III-A of the paper:
    as the paper prescribes.
 3. Each protected primary input is paired with its associated key
    input(s) by walking the unit's gates (two keys per PPI in the
-   Anti-SAT family, one otherwise).
+   Anti-SAT family, one per stored cube in SFLL-Flex, one otherwise).
+   The keys that belong together -- one cube's comparator -- are grouped
+   into *cube columns* by their shared key support.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "find_critical_signal",
     "extract_unit",
     "associate_ppi_keys",
+    "cube_columns",
     "unit_off_value",
 ]
 
@@ -58,7 +61,8 @@ class UnitExtraction:
 
     @property
     def keys_per_ppi(self):
-        """Median number of keys associated per PPI (1 or 2 in practice)."""
+        """Median number of keys associated per PPI (2 in the Anti-SAT
+        family, one per stored cube in SFLL-Flex, 1 otherwise)."""
         counts = sorted(len(v) for v in self.key_of_ppi.values())
         return counts[len(counts) // 2] if counts else 0
 
@@ -172,14 +176,16 @@ def _resolve_source(circuit, signal, sources, limit=8):
     return None
 
 
-def associate_ppi_keys(unit, ppis, keys, max_keys_per_ppi=2):
+def associate_ppi_keys(unit, ppis, keys):
     """Pair each protected primary input with its associated key input(s).
 
     Implements the paper's rule — "for each protected primary input, find
     a logic gate whose inputs are ``ppi_j``, its associated key input, or
     their complements" — robustly against resynthesis by resolving each
     gate fanin through inverter/buffer chains and voting over all gates
-    that mix exactly one PPI with one key.
+    that mix exactly one PPI with one key.  Every voted key is kept, most
+    votes first (ties by name), so each stored cube of an SFLL-Flex unit
+    contributes its key.
     """
     ppi_set = set(ppis)
     key_set = set(keys)
@@ -205,7 +211,7 @@ def associate_ppi_keys(unit, ppis, keys, max_keys_per_ppi=2):
     claimed = set()
     for ppi in ppis:
         ranked = sorted(votes[ppi].items(), key=lambda kv: (-kv[1], kv[0]))
-        chosen = tuple(k for k, _ in ranked[:max_keys_per_ppi])
+        chosen = tuple(k for k, _ in ranked)
         association[ppi] = chosen
         claimed.update(chosen)
 
@@ -217,6 +223,71 @@ def associate_ppi_keys(unit, ppis, keys, max_keys_per_ppi=2):
             ppi = ppis[i % len(ppis)]
             association[ppi] = tuple(association[ppi]) + (key,)
     return association
+
+
+def cube_columns(unit, key_of_ppi):
+    """Group each PPI's associated keys into cube columns.
+
+    A column is a PPI -> key map that takes every key from one cube's
+    comparator.  One topological pass gives every gate its key support as
+    a bitmask.  A gate whose support holds at most one of each PPI's keys
+    lies inside one comparator, so its keys are unioned; each resulting
+    component is one column, mapping each PPI to its first associated key
+    in the component (PPIs with none are left out).  Components merge
+    only where a gate ties them, so the cube-combining OR tree, whose
+    support holds every cube, joins nothing.
+
+    Returns the columns ordered by their earliest key in ``key_of_ppi``
+    order.  A unit with one key per PPI yields exactly one column, the
+    first-key map.
+    """
+    index = {}
+    for ks in key_of_ppi.values():
+        for key in ks:
+            index.setdefault(key, len(index))
+    ppi_masks = []
+    for ks in key_of_ppi.values():
+        mask = 0
+        for key in ks:
+            mask |= 1 << index[key]
+        if mask & (mask - 1):
+            ppi_masks.append(mask)
+
+    parent = list(range(len(index)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    support = {}
+    for name in unit.topological_order():
+        if name in index:
+            support[name] = 1 << index[name]
+            continue
+        mask = 0
+        for s in unit.gate(name).fanins:
+            mask |= support.get(s, 0)
+        if not mask:
+            continue
+        support[name] = mask
+        if any(m & mask & ((m & mask) - 1) for m in ppi_masks):
+            continue  # two keys of one PPI: the gate spans two cubes
+        low = mask & -mask
+        root = find(low.bit_length() - 1)
+        mask ^= low
+        while mask:
+            low = mask & -mask
+            parent[find(low.bit_length() - 1)] = root
+            mask ^= low
+
+    columns = {}
+    for ppi, ks in key_of_ppi.items():
+        for key in ks:
+            column = columns.setdefault(find(index[key]), {})
+            column.setdefault(ppi, key)
+    return list(columns.values())
 
 
 def unit_off_value(unit, output=None, patterns=64, rng=None):

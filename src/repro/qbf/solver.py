@@ -14,22 +14,23 @@ iterations, matching the paper's observation that the QBF step finishes in
 under a minute (here: milliseconds).
 
 Refutations are the slow direction: for a DFLT restore unit (TTLock, CAC,
-SFLL-HD) plain CEGAR rules out one wrong key per counterexample.  When
-the caller supplies a ``strategy_hint`` (universal input -> existential
-input, KRATT's PPI -> key association), the first counterexample the
-verifier finds -- a pair (K*, PPI*) with the output off target, from the
-dominator probe or the first CEGAR round -- is *lifted* to a universal
-strategy ``PPI_p := K_hint(p) xor m_p`` with ``m_p = PPI*_p xor
-K*_hint(p)`` (unhinted PPIs keep PPI*_p).
-One SAT call over a single unit copy then checks whether that strategy
-defeats every key.  If it does, the formula is refuted and the strategy
-is returned as the certificate; otherwise CEGAR continues unchanged.  The
-lift can only prove refutations, never invent one.  It applies whenever
-the unit's output depends on PPI and key only through the hinted pairs'
-differences (point functions and Hamming-distance restore units); with
-two keys per PPI in an inconsistent column order (SFLL-Flex) the lifted
-strategy fails and plain CEGAR decides the formula, or runs out of
-budget, as before.
+SFLL-HD, SFLL-Flex) plain CEGAR rules out one wrong key per
+counterexample.  When the caller supplies ``strategy_hints`` (maps from
+universal to existential input, KRATT's PPI -> key association), the
+first counterexample the verifier finds -- a pair (K*, PPI*) with the
+output off target, from the dominator probe or the first CEGAR round --
+is *lifted* under each hint in turn to a universal strategy
+``PPI_p := K_hint(p) xor m_p`` with ``m_p = PPI*_p xor K*_hint(p)``
+(unhinted PPIs keep PPI*_p).
+One SAT call over a single unit copy per hint checks whether that
+strategy defeats every key; the first strategy proved wins, the formula
+is refuted and the strategy is returned as the certificate.  If no hint
+is proved, CEGAR continues unchanged.  The lift can only prove
+refutations, never invent one.  It applies whenever the unit's output
+depends on PPI and key only through one hint's pairs' differences (point
+functions and Hamming-distance restore units with their one key per
+PPI; SFLL-Flex under the hint that takes every key from one cube's
+comparator, see :func:`repro.attacks.kratt.cube_columns`).
 
 A generic prenex 2QBF entry point (:func:`solve_2qbf`) using universal
 expansion over the CNF matrix is included for QDIMACS-level formulas and
@@ -119,7 +120,7 @@ def _subgraph(circuit, gate_names, input_names):
 
 def _lift_counterexample(circuit, exist_inputs, forall_inputs, output,
                          target_value, strategy_hint, point, deadline):
-    """Lift a counterexample to a universal strategy.
+    """Lift a counterexample to a universal strategy under one hint.
 
     ``point`` assigns every input such that ``output != target_value``.
     Returns the strategy when one SAT call proves that it keeps
@@ -151,7 +152,7 @@ def solve_exists_forall_circuit(
     target_value,
     max_iterations=10_000,
     time_limit=None,
-    strategy_hint=None,
+    strategy_hints=(),
 ):
     """Decide ``EXISTS exist . FORALL forall . circuit[output] == target``.
 
@@ -164,11 +165,12 @@ def solve_exists_forall_circuit(
         Name of the output signal constrained to ``target_value``.
     target_value:
         0 or 1.
-    strategy_hint:
-        Optional map from universal to existential input.  When given,
-        the first counterexample is lifted to a universal strategy (see
-        the module docstring); a refutation found this way carries the
-        strategy in :attr:`QBFResult.strategy`.
+    strategy_hints:
+        Sequence of maps from universal to existential input.  The first
+        counterexample is lifted to a universal strategy under each hint
+        in order, one SAT call each (see the module docstring); the first
+        refutation found this way carries its strategy in
+        :attr:`QBFResult.strategy`.
 
     Returns a :class:`QBFResult`; on success ``witness`` maps each
     existential input to its value.
@@ -244,7 +246,7 @@ def solve_exists_forall_circuit(
         ]
         return verifier.solve(assumptions, time_limit=deadline)
 
-    lift_pending = strategy_hint is not None
+    lift_pending = bool(strategy_hints)
 
     def lift_refutation():
         # Lift the verifier's current model, the first counterexample.
@@ -253,14 +255,15 @@ def solve_exists_forall_circuit(
         point = {
             name: verifier.model_value(var) for name, var in all_vars.items()
         }
-        strategy = _lift_counterexample(
-            circuit, exist_inputs, forall_inputs, output, target_value,
-            strategy_hint, point, deadline,
-        )
-        if strategy is None:
-            return None
-        return QBFResult(False, None, iterations, deadline.now() - start,
-                         strategy=strategy)
+        for hint in strategy_hints:
+            strategy = _lift_counterexample(
+                circuit, exist_inputs, forall_inputs, output, target_value,
+                hint, point, deadline,
+            )
+            if strategy is not None:
+                return QBFResult(False, None, iterations,
+                                 deadline.now() - start, strategy=strategy)
+        return None
 
     # --- Dominator-constant probe -------------------------------------
     # If some key-only internal signal r pinned to a constant provably

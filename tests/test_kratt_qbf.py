@@ -1,16 +1,24 @@
 """Tests for KRATT step 2: the QBF attack and the complementarity check."""
 
+import hashlib
+
 import pytest
 
-from factories import build_random_circuit
+from factories import build_locked_circuit, build_random_circuit
 from repro.attacks import score_key
-from repro.attacks.kratt import extract_unit, qbf_key_search, tied_unit_is_constant
+from repro.attacks.kratt import (
+    extract_unit,
+    qbf_key_search,
+    tied_unit_is_constant,
+    unit_off_value,
+)
 from repro.locking import (
     lock_antisat,
     lock_caslock,
     lock_cac,
     lock_genantisat,
     lock_sarlock,
+    lock_sfll_flex,
     lock_sfll_hd,
     lock_ttlock,
 )
@@ -105,3 +113,58 @@ class TestDfltUnsat:
         assert outcome.out_of_time is False
         assert outcome.iterations <= 2
         assert set(outcome.strategy) == {0, 1}
+
+    @pytest.mark.parametrize("resynth", [False, True])
+    @pytest.mark.parametrize("cubes", [2, 3])
+    @pytest.mark.parametrize("key_width", [8, 32])
+    def test_sfll_flex_refuted_not_timed_out(self, host, wide_host, key_width,
+                                             cubes, resynth):
+        """The first keys mix the cubes; one cube column's lift refutes
+        the never-match polarity within a few CEGAR rounds."""
+        locked = lock_sfll_flex(host if key_width == 8 else wide_host,
+                                key_width, cubes=cubes, seed=3)
+        circuit = locked.circuit
+        if resynth:
+            circuit = resynthesize(circuit, seed=6, effort=2)
+        extraction = extract_unit(circuit, locked.key_inputs)
+        outcome = qbf_key_search(extraction, time_limit=10,
+                                 max_iterations=50)
+        assert outcome.status == "unsat"
+        assert outcome.out_of_time is False
+        never_match = unit_off_value(extraction.unit,
+                                     extraction.critical_signal)
+        assert never_match in outcome.strategy
+
+
+def _outcome_digest(outcome):
+    key = None if outcome.key is None else sorted(
+        (k, bool(v)) for k, v in outcome.key.items()
+    )
+    strategy = None if outcome.strategy is None else sorted(
+        (value, sorted(moves.items()))
+        for value, moves in outcome.strategy.items()
+    )
+    return repr((outcome.status, outcome.iterations, key, strategy))
+
+
+@pytest.mark.parametrize("resynth,expected", [
+    (False, "dc85be2c2b98bf11a6158057d10b0926c999e23998cdb93bb99cad21b598162f"),
+    (True, "d000c7e7b0cb72eccd6ca54006d2a2407a8430165908f1a653410319b8ee5eb9"),
+])
+def test_qbf_outcomes_pinned(resynth, expected):
+    """Status, iterations, key and strategy of every non-SFLL-Flex unit
+    (recorded before the cube-column lift): extra hints must not move
+    them."""
+    digest = hashlib.sha256()
+    for technique in ["sarlock", "antisat", "caslock", "genantisat",
+                      "ttlock", "cac", "sfll_hd"]:
+        for seed in (0, 1):
+            locked = build_locked_circuit(technique, seed=seed, n_inputs=10,
+                                          n_gates=40, key_width=8)
+            circuit = locked.circuit
+            if resynth:
+                circuit = resynthesize(circuit, seed=6, effort=2)
+            extraction = extract_unit(circuit, locked.key_inputs)
+            outcome = qbf_key_search(extraction, time_limit=60.0)
+            digest.update(_outcome_digest(outcome).encode())
+    assert digest.hexdigest() == expected

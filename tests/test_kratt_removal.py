@@ -5,11 +5,18 @@ import pytest
 from factories import build_random_circuit
 from repro.attacks.kratt import (
     associate_ppi_keys,
+    cube_columns,
     extract_unit,
     find_critical_signal,
     unit_off_value,
 )
-from repro.locking import TECHNIQUES, lock_antisat, lock_sarlock, lock_ttlock
+from repro.locking import (
+    TECHNIQUES,
+    lock_antisat,
+    lock_sarlock,
+    lock_sfll_flex,
+    lock_ttlock,
+)
 from repro.synth import resynthesize
 
 
@@ -104,6 +111,65 @@ class TestAssociation:
             if extraction.key_of_ppi.get(ppi, ())[:1] == keys[:1]:
                 correct += 1
         assert correct >= len(locked.key_of_ppi) * 0.75
+
+
+@pytest.fixture(scope="module")
+def flex_host():
+    return build_random_circuit(n_inputs=10, n_gates=60, n_outputs=5, seed=51)
+
+
+def _flex_extraction(host, cubes, resynth, seed=3):
+    locked = lock_sfll_flex(host, 8, cubes=cubes, seed=seed)
+    circuit = locked.circuit
+    if resynth:
+        circuit = resynthesize(circuit, seed=6, effort=2)
+    return locked, extract_unit(circuit, locked.key_inputs)
+
+
+@pytest.mark.parametrize("resynth", [False, True])
+@pytest.mark.parametrize("cubes", [2, 3])
+class TestSfllFlexAssociation:
+    def test_every_cube_key_pairs_with_its_ppi(self, flex_host, cubes, resynth):
+        locked, extraction = _flex_extraction(flex_host, cubes, resynth)
+        for ppi, keys in locked.key_of_ppi.items():
+            assert set(extraction.key_of_ppi[ppi]) == set(keys), ppi
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_columns_match_the_cube_store(self, flex_host, cubes, resynth,
+                                          seed):
+        locked, extraction = _flex_extraction(flex_host, cubes, resynth, seed)
+        truth = [
+            {ppi: keys[i] for ppi, keys in locked.key_of_ppi.items()}
+            for i in range(cubes)
+        ]
+        columns = cube_columns(extraction.unit, extraction.key_of_ppi)
+        assert len(columns) == cubes
+        assert all(column in truth for column in columns)
+
+
+class TestCubeColumns:
+    @pytest.mark.parametrize("technique", ["sarlock", "ttlock", "cac"])
+    @pytest.mark.parametrize("resynth", [False, True])
+    def test_one_key_per_ppi_is_one_column(self, host, technique, resynth):
+        locked = TECHNIQUES[technique](host, 8, seed=3)
+        circuit = locked.circuit
+        if resynth:
+            circuit = resynthesize(circuit, seed=6, effort=2)
+        extraction = extract_unit(circuit, locked.key_inputs)
+        assert extraction.keys_per_ppi == 1
+        first = {ppi: keys[0] for ppi, keys in extraction.key_of_ppi.items()}
+        assert cube_columns(extraction.unit, extraction.key_of_ppi) == [first]
+
+    def test_antisat_blocks_are_columns(self, host):
+        # The g and g-bar trees each take one key per PPI.
+        locked = lock_antisat(host, 8, seed=4)
+        extraction = extract_unit(locked.circuit, locked.key_inputs)
+        columns = cube_columns(extraction.unit, extraction.key_of_ppi)
+        truth = [
+            {ppi: keys[i] for ppi, keys in locked.key_of_ppi.items()}
+            for i in range(2)
+        ]
+        assert sorted(columns, key=repr) == sorted(truth, key=repr)
 
 
 class TestOffValue:

@@ -135,7 +135,7 @@ class TestCircuitCegar:
         c.add_output("o")
         for target in (0, 1):
             res = solve_exists_forall_circuit(
-                c, ["k"], ["x"], "o", target, strategy_hint={"x": "k"}
+                c, ["k"], ["x"], "o", target, strategy_hints=[{"x": "k"}]
             )
             assert res.status is False and res.iterations == 1
             # x := k forces o = 1; x := NOT k forces o = 0.
@@ -148,7 +148,7 @@ class TestCircuitCegar:
         c.add_gate("o", "OR", ("k", "x"))
         c.add_output("o")
         res = solve_exists_forall_circuit(
-            c, ["k"], ["x"], "o", 1, strategy_hint={"x": "k"}
+            c, ["k"], ["x"], "o", 1, strategy_hints=[{"x": "k"}]
         )
         assert res.status is True and res.strategy is None
 
@@ -164,9 +164,27 @@ class TestCircuitCegar:
         c.add_output("o")
         res = solve_exists_forall_circuit(
             c, ["k1", "k2"], ["x1", "x2"], "o", 0,
-            strategy_hint={"x1": "k2", "x2": "k1"},
+            strategy_hints=[{"x1": "k2", "x2": "k1"}],
         )
         assert res.status is False and res.strategy is None
+
+    def test_second_hint_refutes_when_the_first_is_crosswise(self):
+        # The crosswise hint's strategy is beaten; the aligned one is
+        # proved in the same round and is the certificate returned.
+        c = Circuit("q")
+        for n in ("k1", "k2", "x1", "x2"):
+            c.add_input(n)
+        c.add_gate("e1", "XNOR", ("k1", "x1"))
+        c.add_gate("e2", "XNOR", ("k2", "x2"))
+        c.add_gate("o", "AND", ("e1", "e2"))
+        c.add_output("o")
+        res = solve_exists_forall_circuit(
+            c, ["k1", "k2"], ["x1", "x2"], "o", 0,
+            strategy_hints=[{"x1": "k2", "x2": "k1"},
+                            {"x1": "k1", "x2": "k2"}],
+        )
+        assert res.status is False and res.iterations == 1
+        assert res.strategy == {"x1": ("k1", False), "x2": ("k2", False)}
 
     def test_two_keys(self):
         # o = (k1 XOR k2) OR x : constant 1 iff k1 != k2

@@ -13,8 +13,8 @@ the ground truth the QBF step must agree with:
 * for complementary SFLTs the certified witness must also unlock the
   whole circuit: folding it in must reproduce the original function on
   an exhaustive input sweep;
-* a refuting strategy the solver returns for a restore unit must defeat
-  every key when replayed by simulation.
+* every refuting strategy the solver returns for a restore unit must
+  defeat every key when replayed by simulation.
 """
 
 import itertools
@@ -23,12 +23,13 @@ import pytest
 
 from factories import build_locked_circuit
 from repro.attacks.kratt.qbf_attack import qbf_key_search
-from repro.attacks.kratt.removal import extract_unit
+from repro.attacks.kratt.removal import extract_unit, unit_off_value
 from repro.netlist.simulate import exhaustive_patterns
 
 #: (technique, expected family): SFLTs have constant-making keys, DFLT
 #: restore units (TTLock, CAC, SFLL-HD, SFLL-Flex) have none.  SFLL-Flex
-#: exercises the path where the lifted strategy fails and CEGAR decides.
+#: exercises the multi-key lift: its first-key hint mixes the two cubes,
+#: so a cube column's lifted strategy refutes the never-match polarity.
 CASES = [
     ("antisat", "sflt"),
     ("caslock", "sflt"),
@@ -136,18 +137,26 @@ def test_qbf_matches_exhaustive_on_wider_key_spaces(key_width):
     )
 
 
-@pytest.mark.parametrize("technique", ["ttlock", "cac", "sfll_hd"])
+@pytest.mark.parametrize("technique", ["ttlock", "cac", "sfll_hd", "sfll_flex"])
 @pytest.mark.parametrize("seed", range(2))
 def test_refuting_strategy_defeats_every_key(technique, seed):
     """Replay each polarity's strategy PPI := K[key] ^ flip (or a
-    constant) over all 2**k keys at once: the unit never hits c."""
+    constant) over all 2**k keys at once: the unit never hits c.
+
+    One key per PPI lifts both polarities; SFLL-Flex (two cubes of 4
+    keys) lifts at least its never-match polarity, CEGAR may refute the
+    other first."""
+    key_width = 4 if technique == "sfll_flex" else 8
     locked = build_locked_circuit(technique, seed=seed, n_inputs=8,
-                                  n_gates=30, key_width=8)
+                                  n_gates=30, key_width=key_width)
     extraction = extract_unit(locked.circuit, locked.key_inputs)
     assert len(extraction.key_inputs) <= 8
     outcome = qbf_key_search(extraction, time_limit=60.0)
     assert outcome.status == "unsat" and outcome.out_of_time is False
-    assert set(outcome.strategy) == {0, 1}
+    never_match = unit_off_value(extraction.unit, extraction.critical_signal)
+    assert never_match in outcome.strategy
+    if technique != "sfll_flex":
+        assert set(outcome.strategy) == {0, 1}
 
     words, mask = exhaustive_patterns(list(extraction.key_inputs))
     engine = extraction.unit.compiled()
