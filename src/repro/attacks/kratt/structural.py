@@ -14,37 +14,49 @@ pattern).  KRATT:
    others ``X``) when not already present;
 4. sorts all sets by the number of unspecified values, most-specified
    first — the order the oracle exploration consumes them.
+
+Each root's cone is encoded once (:class:`~repro.sat.tseitin.ConeEncoder`
+over one snapshot of the subcircuit, no cone copy) and that one clause
+buffer is replayed into a fresh solver per value.  Solving both values
+under assumptions on one shared solver would be cheaper, but its learnt
+clauses and saved phases would change the models, and with them the
+candidate list.
 """
 
 from __future__ import annotations
 
-from ...netlist.cone import cones_with_support_within, extract_cone
+from ...netlist.cone import _cones_with_supports
 from ...sat.solver import Solver
-from ...sat.tseitin import encode_into_solver
+from ...sat.tseitin import ConeEncoder
 
 __all__ = ["candidate_pattern_sets", "enumerate_cone_patterns"]
 
 
-def enumerate_cone_patterns(subcircuit, root, value, ppis, limit=4,
-                            cone=None):
+def enumerate_cone_patterns(subcircuit, root, value, ppis, limit=4):
     """Up to ``limit`` assignments of the cone's PPIs with root == value.
 
     Each returned dict assigns 0/1 to the PPIs in the cone's support and
     ``None`` (X) to every other PPI.  Solutions are enumerated with
     blocking clauses over the support variables, in a fresh solver per
-    call.  ``cone`` is ``extract_cone(subcircuit, root)`` when the
-    caller already has it: both values of a root share one cone, whose
-    topological order is then computed once.
+    call.
     """
-    if cone is None:
-        cone = extract_cone(subcircuit, root)
-    ppi_set = set(ppis)
-    support = [s for s in cone.inputs if s in ppi_set]
+    ppis = list(ppis)
+    cone = ConeEncoder(subcircuit).encode(root)
+    return _cone_patterns(cone, value, ppis, set(ppis), limit)
+
+
+def _cone_patterns(cone, value, ppis, ppi_set, limit):
+    """Replay ``cone`` (a :class:`~repro.sat.tseitin.ConeCNF`) into a
+    fresh solver, pin its root to ``value`` and enumerate up to
+    ``limit`` assignments of its PPIs."""
+    support = [(sig, var) for sig, var in zip(cone.inputs, cone.input_vars)
+               if sig in ppi_set]
     if not support:
         return []
     solver = Solver()
-    varmap = encode_into_solver(solver, cone, {}, suffix="#lco")
-    target = varmap[root]
+    solver.ensure_vars(cone.num_vars)
+    solver.add_clauses(cone.clauses)
+    target = cone.root_var
     solver.add_clause([target if value else -target])
     patterns = []
     while len(patterns) < limit:
@@ -53,10 +65,10 @@ def enumerate_cone_patterns(subcircuit, root, value, ppis, limit=4,
             break
         assignment = {ppi: None for ppi in ppis}
         blocking = []
-        for sig in support:
-            bit = 1 if solver.model_value(varmap[sig]) else 0
+        for sig, var in support:
+            bit = 1 if solver.model_value(var) else 0
             assignment[sig] = bit
-            blocking.append(-varmap[sig] if bit else varmap[sig])
+            blocking.append(-var if bit else var)
         patterns.append(assignment)
         solver.add_clause(blocking)
     return patterns
@@ -72,16 +84,14 @@ def candidate_pattern_sets(subcircuit, ppis, per_cone_limit=2, min_support=2,
     sorted by the number of unspecified entries ascending (most-specified
     first), with duplicates removed and single-PPI augmentation applied.
     """
-    from ...netlist.cone import support as cone_support
-
     ppis = list(ppis)
-    roots = cones_with_support_within(
-        subcircuit, ppis, min_support=min_support, maximal_only=False
-    )
-    roots.sort(key=lambda r: -len(cone_support(subcircuit, r)))
+    ppi_set = set(ppis)
+    cones = _cones_with_supports(subcircuit, ppis, min_support,
+                                 maximal_only=False)
+    cones.sort(key=lambda pair: -len(pair[1]))
     if max_cones is None:
         max_cones = max(16, 6 * len(ppis))
-    roots = roots[:max_cones]
+    encoder = ConeEncoder(subcircuit)
     candidates = []
     seen = set()
 
@@ -91,13 +101,11 @@ def candidate_pattern_sets(subcircuit, ppis, per_cone_limit=2, min_support=2,
             seen.add(key)
             candidates.append(assignment)
 
-    for root in roots:
-        cone = extract_cone(subcircuit, root)
+    for root, _ in cones[:max_cones]:
+        cone = encoder.encode(root)
         for value in (0, 1):
-            for pattern in enumerate_cone_patterns(
-                subcircuit, root, value, ppis, limit=per_cone_limit,
-                cone=cone,
-            ):
+            for pattern in _cone_patterns(cone, value, ppis, ppi_set,
+                                          per_cone_limit):
                 push(pattern)
 
     # Single-PPI augmentation: cover each input pinned alone, both ways.

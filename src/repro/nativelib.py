@@ -19,11 +19,14 @@ the error latches:
 * **Gates.** ``REPRO_NATIVE=0`` is the master switch that disables
   everything; ``REPRO_NATIVE_<COMPONENT>=0`` (``REPRO_NATIVE_SOLVER=0``)
   disables one component.
-* **Failure latches.** The load cache is keyed by
-  ``(component, cache_dir, digest)`` and remembers failures as
-  exception instances — a ``.so`` that fails to compile costs one
-  lookup per process.  ``last_error(component)`` reports the most
-  recent failure per component.
+* **One lookup per process.** :func:`load_library` memoizes its
+  outcome — handle or failure — under its arguments and every
+  environment value the lookup reads (the gates, ``REPRO_NATIVE_CC``,
+  ``REPRO_NATIVE_CFLAGS``, ``REPRO_NATIVE_CACHE_DIR`` and ``PATH``).  A
+  repeat load neither scans ``PATH`` nor re-hashes the source, a
+  ``.so`` that fails to compile is tried once, and changing a knob
+  mid-process still takes effect.  ``last_error(component)`` reports
+  the most recent failure per component.
 * **Atomic publication.** Builds compile to a ``.tmp.<pid>`` path and
   ``os.replace`` into ``<digest>.so`` (the prep-store pattern), so
   concurrent workers never observe a torn library; a cache entry that
@@ -187,13 +190,21 @@ def compile_and_publish(source, digest, cc, directory, flags=()):
                 pass
 
 
-#: (component, cache_dir, digest) -> loaded library handle; failures are
-#: remembered per process as NativeUnavailable instances, one latch per
-#: component.
-_LIB_CACHE = {}
+#: (component, source, directory, cc, environment) -> the outcome of
+#: :func:`load_library`: the loaded handle, or the NativeUnavailable it
+#: raised, remembered per process.
+_LOADED = {}
 
 #: Most recent build/load failure message per component.
 _LAST_ERRORS = {}
+
+
+def _lookup_env(component):
+    """Every environment value a library lookup reads."""
+    get = os.environ.get
+    return (get("REPRO_NATIVE"), get(f"REPRO_NATIVE_{component.upper()}"),
+            get("REPRO_NATIVE_CC"), get("REPRO_NATIVE_CFLAGS"),
+            get("REPRO_NATIVE_CACHE_DIR"), get("PATH"))
 
 
 def load_library(component, source, configure, directory=None, cc=None):
@@ -201,10 +212,26 @@ def load_library(component, source, configure, directory=None, cc=None):
 
     ``configure(lib)`` is called once on the fresh ``ctypes.CDLL``
     handle to declare argtypes/restypes.  Raises
-    :class:`NativeUnavailable`; the outcome — handle or failure — is
-    cached per ``(component, directory, digest)`` so a missing compiler
-    costs one lookup per process, not one subprocess per use.
+    :class:`NativeUnavailable`.  The outcome — handle or failure — is
+    memoized per arguments and environment, so a repeat call costs one
+    dict lookup: no ``PATH`` scan, no source hash, no subprocess.
     """
+    key = (component, source, directory, cc, _lookup_env(component))
+    outcome = _LOADED.get(key)
+    if outcome is None:
+        try:
+            outcome = _load_library(component, source, configure, directory,
+                                    cc)
+        except NativeUnavailable as exc:
+            outcome = exc
+        _LOADED[key] = outcome
+    if isinstance(outcome, NativeUnavailable):
+        raise outcome.with_traceback(None)
+    return outcome
+
+
+def _load_library(component, source, configure, directory, cc):
+    """The lookup :func:`load_library` memoizes: gate, find, build, load."""
     if not native_enabled(component):
         raise NativeUnavailable(
             f"disabled via REPRO_NATIVE / REPRO_NATIVE_{component.upper()}"
@@ -213,12 +240,6 @@ def load_library(component, source, configure, directory=None, cc=None):
     cc = cc or find_compiler()
     flags = extra_flags()
     digest = source_digest(source, cc, flags)
-    key = (component, directory, digest)
-    cached = _LIB_CACHE.get(key)
-    if cached is not None:
-        if isinstance(cached, NativeUnavailable):
-            raise cached
-        return cached
 
     def load(path):
         lib = ctypes.CDLL(path)
@@ -245,15 +266,12 @@ def load_library(component, source, configure, directory=None, cc=None):
             compile_and_publish(source, digest, cc, directory, flags)
             lib = load(so_path)
     except NativeUnavailable as exc:
-        _LIB_CACHE[key] = exc
         record_error(component, str(exc))
         raise
     except OSError as exc:
         failure = NativeUnavailable(f"{component} library load failed: {exc}")
-        _LIB_CACHE[key] = failure
         record_error(component, str(failure))
         raise failure from exc
-    _LIB_CACHE[key] = lib
     return lib
 
 
@@ -263,13 +281,12 @@ def clear_cache(component=None):
     With a ``component`` only that component's entries and error latch
     are dropped; without one, everything is.
     """
+    for key in [k for k in _LOADED if component in (None, k[0])]:
+        del _LOADED[key]
     if component is None:
-        _LIB_CACHE.clear()
         _LAST_ERRORS.clear()
-        return
-    for key in [k for k in _LIB_CACHE if k[0] == component]:
-        del _LIB_CACHE[key]
-    _LAST_ERRORS.pop(component, None)
+    else:
+        _LAST_ERRORS.pop(component, None)
 
 
 def record_error(component, message):

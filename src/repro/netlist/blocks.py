@@ -16,7 +16,6 @@ __all__ = [
     "add_ripple_adder",
     "add_popcount",
     "add_equals_const",
-    "add_xor_vector",
 ]
 
 
@@ -119,15 +118,3 @@ def add_equals_const(circuit, prefix, bits, value):
     if len(leaves) == 1:
         return leaves[0]
     return build_tree(circuit, f"{prefix}_and", GateType.AND, leaves)
-
-
-def add_xor_vector(circuit, prefix, xs, ys):
-    """Element-wise XOR of two equal-length vectors; returns the vector."""
-    if len(xs) != len(ys):
-        raise ValueError("xor vector lengths differ")
-    out = []
-    for i, (a, b) in enumerate(zip(xs, ys)):
-        name = f"{prefix}_x{i}"
-        circuit.add_gate(name, GateType.XOR, (a, b))
-        out.append(name)
-    return out

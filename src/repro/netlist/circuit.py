@@ -195,6 +195,7 @@ class Circuit:
                 n += 1
             indeg[gate.name] = n
 
+        # ConeEncoder (sat/tseitin.py) repeats this FIFO order.
         fanout = self.fanout_map()
         ready = deque(name for name, n in indeg.items() if n == 0)
         order = []

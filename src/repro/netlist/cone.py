@@ -83,6 +83,7 @@ def extract_cone(circuit, root, name=None, extra_inputs=()):
     cut = set(extra_inputs)
     cone = Circuit(name or f"{circuit.name}_cone_{root}")
 
+    # ConeEncoder (sat/tseitin.py) repeats this DFS and input order.
     needed = []
     seen = set()
     stack = [root]
@@ -181,9 +182,19 @@ def cones_with_support_within(circuit, allowed_inputs, min_support=1,
     min_support:
         Ignore cones touching fewer than this many of the allowed inputs.
     """
+    return [root for root, _ in _cones_with_supports(
+        circuit, allowed_inputs, min_support, maximal_only)]
+
+
+def _cones_with_supports(circuit, allowed_inputs, min_support, maximal_only):
+    """:func:`cones_with_support_within` as ``(root, support)`` pairs;
+    each ``support`` is the root's :func:`support`, computed in the same
+    pass."""
     allowed = set(allowed_inputs)
+    outputs = set(circuit.outputs)
+    order = circuit.topological_order()
     inside = {}
-    for name in circuit.topological_order():
+    for name in order:
         gate = circuit.gate(name)
         if gate.is_input:
             inside[name] = name in allowed
@@ -193,25 +204,23 @@ def cones_with_support_within(circuit, allowed_inputs, min_support=1,
             inside[name] = all(inside[s] for s in gate.fanins)
     # Exact supports only for inside signals (usually a small region).
     supports = {}
-    roots = []
+    cones = []
     fanout = circuit.fanout_map()
-    for name in circuit.topological_order():
+    for name in order:
         if not inside[name]:
             continue
         gate = circuit.gate(name)
         if gate.is_input:
             supports[name] = frozenset([name])
-        else:
-            acc = set()
-            for s in gate.fanins:
-                acc |= supports[s]
-            supports[name] = frozenset(acc)
-        if gate.is_input:
             continue
+        acc = set()
+        for s in gate.fanins:
+            acc |= supports[s]
+        supports[name] = frozenset(acc)
         sinks = fanout.get(name, ())
         is_maximal = (not sinks) or any(not inside[t] for t in sinks)
-        if name in circuit.outputs:
+        if name in outputs:
             is_maximal = True
-        if (is_maximal or not maximal_only) and len(supports[name]) >= min_support:
-            roots.append(name)
-    return roots
+        if (is_maximal or not maximal_only) and len(acc) >= min_support:
+            cones.append((name, supports[name]))
+    return cones

@@ -155,56 +155,3 @@ def eval_gate(gtype, operands, mask):
     if gtype is GateType.CONST1:
         return mask
     raise ValueError(f"cannot evaluate gate type {gtype}")
-
-
-def eval_gate_scalar(gtype, operands):
-    """Evaluate a gate over scalar 0/1 operands. Convenience for tests."""
-    return eval_gate(gtype, operands, 1) if operands or gtype in NULLARY_TYPES else 0
-
-
-def constant_fold(gtype, operands, mask):
-    """Partially evaluate a gate whose operands may be ``None`` (unknown).
-
-    ``operands`` is a list where known values are ints (0 or ``mask``) and
-    unknown values are ``None``.  Returns ``(value, remaining)`` where
-    ``value`` is the folded constant (0/mask) if the output is forced, else
-    ``None``, and ``remaining`` is the list of indices of operands that are
-    still relevant.  Used by the constant-propagation engine.
-    """
-    known = [(i, v) for i, v in enumerate(operands) if v is not None]
-    unknown = [i for i, v in enumerate(operands) if v is None]
-
-    if gtype in (GateType.AND, GateType.NAND):
-        if any(v == 0 for _, v in known):
-            return (mask if gtype is GateType.NAND else 0), []
-        if not unknown:
-            return (0 if gtype is GateType.NAND else mask), []
-        return None, unknown
-    if gtype in (GateType.OR, GateType.NOR):
-        if any(v == mask for _, v in known):
-            return (0 if gtype is GateType.NOR else mask), []
-        if not unknown:
-            return (mask if gtype is GateType.NOR else 0), []
-        return None, unknown
-    if gtype in (GateType.XOR, GateType.XNOR):
-        if not unknown:
-            acc = 0
-            for _, v in known:
-                acc ^= v
-            if gtype is GateType.XNOR:
-                acc ^= mask
-            return acc, []
-        return None, unknown
-    if gtype is GateType.NOT:
-        if not unknown:
-            return mask ^ known[0][1], []
-        return None, unknown
-    if gtype is GateType.BUF:
-        if not unknown:
-            return known[0][1], []
-        return None, unknown
-    if gtype is GateType.CONST0:
-        return 0, []
-    if gtype is GateType.CONST1:
-        return mask, []
-    raise ValueError(f"cannot fold gate type {gtype}")

@@ -9,10 +9,15 @@ decomposed into a chain of 2-input steps to keep clause counts linear.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
+from ..netlist.errors import CircuitStructureError
 from ..netlist.gate import GateType
 from .cnf import CNF
 
 __all__ = [
+    "ConeCNF",
+    "ConeEncoder",
     "VarRegistry",
     "encode_circuit",
     "encode_gate_clauses",
@@ -108,6 +113,93 @@ def _emit_gate(flat, gtype, out, ins, top):
     else:
         raise ValueError(f"cannot encode gate type {gtype}")
     return top
+
+
+#: One cone's fresh-solver encoding: its primary inputs in the parent's
+#: order with their variables, the root's variable, the variable count
+#: and the flat ``[size, lit, ...]*`` clause buffer.
+ConeCNF = namedtuple(
+    "ConeCNF", ["inputs", "input_vars", "root_var", "num_vars", "clauses"]
+)
+
+
+class ConeEncoder:
+    """Fan-in cone encodings of one circuit, without cone copies.
+
+    The circuit is snapshotted once as int-indexed fan-ins.
+    :meth:`encode` then writes a root's cone straight to a flat clause
+    buffer, numbered exactly as
+    ``encode_into_solver(Solver(), extract_cone(circuit, root), {})``
+    numbers it: the cone's signals in ``extract_cone``'s depth-first
+    ``needed`` order (its inputs first, in the parent's input order),
+    sorted by the FIFO Kahn pass of
+    :meth:`~repro.netlist.circuit.Circuit.topological_order`, each
+    gate's output numbered before its XOR chain steps.  Replaying the
+    buffer into a fresh solver leaves the state that encoding leaves.
+    """
+
+    def __init__(self, circuit):
+        names = list(circuit.signals)
+        index = {name: i for i, name in enumerate(names)}
+        gates = [circuit.gate(name) for name in names]
+        self._names = names
+        self._index = index
+        self._gtypes = [gate.gtype for gate in gates]
+        self._fanins = [tuple(index[s] for s in gate.fanins) for gate in gates]
+        self._input_rank = {index[name]: r
+                            for r, name in enumerate(circuit.inputs)}
+
+    def encode(self, root):
+        """The :class:`ConeCNF` of the fan-in cone of ``root``."""
+        root_index = self._index.get(root)
+        if root_index is None:
+            raise CircuitStructureError(f"no signal {root!r} to extract")
+        fanins = self._fanins
+        rank = self._input_rank
+        n = len(fanins)
+        needed = []
+        seen = bytearray(n)
+        stack = [root_index]
+        while stack:
+            sig = stack.pop()
+            if not seen[sig]:
+                seen[sig] = 1
+                needed.append(sig)
+                stack.extend(fanins[sig])
+        inputs = sorted((s for s in needed if s in rank), key=rank.__getitem__)
+        gates = [s for s in needed if s not in rank]
+        fanout = {s: [] for s in needed}
+        indeg = [0] * n
+        for g in gates:
+            indeg[g] = len(fanins[g])
+            for src in fanins[g]:
+                fanout[src].append(g)
+        # FIFO Kahn: ``order`` grows while it is walked.
+        order = inputs + [g for g in gates if not indeg[g]]
+        gtypes = self._gtypes
+        var = [0] * n
+        flat = []
+        top = 0
+        for sig in order:
+            top += 1
+            var[sig] = top
+            if sig not in rank:
+                top = _emit_gate(
+                    flat, gtypes[sig], top, [var[s] for s in fanins[sig]], top
+                )
+            for succ in fanout[sig]:
+                indeg[succ] -= 1
+                if not indeg[succ]:
+                    order.append(succ)
+        if len(order) != len(needed):
+            raise CircuitStructureError(
+                f"combinational cycle in the cone of {root!r}"
+            )
+        names = self._names
+        return ConeCNF(
+            [names[s] for s in inputs], [var[s] for s in inputs],
+            var[root_index], top, flat,
+        )
 
 
 def encode_gate_clauses(cnf, gtype, out_var, in_vars):

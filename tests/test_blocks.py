@@ -8,7 +8,6 @@ from repro.netlist.blocks import (
     add_full_adder,
     add_popcount,
     add_ripple_adder,
-    add_xor_vector,
 )
 
 
@@ -78,13 +77,3 @@ class TestEqualsConst:
         bits = [c.add_input("b0")]
         root = add_equals_const(c, "eq", bits, 7)
         assert _eval(c, {"b0": 1}, [root])[0] == 0
-
-
-class TestXorVector:
-    def test_elementwise(self):
-        c = Circuit("xv")
-        xs = [c.add_input(f"x{i}") for i in range(3)]
-        ys = [c.add_input(f"y{i}") for i in range(3)]
-        out = add_xor_vector(c, "xv", xs, ys)
-        a = {"x0": 1, "x1": 0, "x2": 1, "y0": 1, "y1": 1, "y2": 0}
-        assert _eval(c, a, out) == [0, 1, 1]

@@ -7,7 +7,6 @@ from repro.netlist.gate import (
     Gate,
     GateType,
     arity_check,
-    constant_fold,
     eval_gate,
 )
 
@@ -92,29 +91,3 @@ class TestGateObject:
     def test_complement_map_is_involution(self):
         for gtype, comp in COMPLEMENT_OF.items():
             assert COMPLEMENT_OF[comp] is gtype
-
-
-class TestConstantFold:
-    def test_and_absorbing(self):
-        value, rest = constant_fold(GateType.AND, [0, None], 1)
-        assert value == 0 and rest == []
-
-    def test_nand_absorbing(self):
-        value, rest = constant_fold(GateType.NAND, [0, None], 1)
-        assert value == 1
-
-    def test_or_absorbing(self):
-        value, rest = constant_fold(GateType.OR, [None, 1], 1)
-        assert value == 1
-
-    def test_xor_all_known(self):
-        value, rest = constant_fold(GateType.XOR, [1, 1, 1], 1)
-        assert value == 1
-
-    def test_xor_partial(self):
-        value, rest = constant_fold(GateType.XOR, [1, None], 1)
-        assert value is None and rest == [1]
-
-    def test_not_known(self):
-        value, _ = constant_fold(GateType.NOT, [0], 1)
-        assert value == 1

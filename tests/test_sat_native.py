@@ -188,6 +188,41 @@ class TestCache:
         with open(path, "rb") as handle:
             assert handle.read(4) == b"\x7fELF"
 
+    def test_one_lookup_per_process(self, cache_dir, monkeypatch):
+        """Repeat builds reuse the memoized load: the source is hashed
+        (and PATH scanned) once, not once per Solver."""
+        calls = []
+        real = nativelib.source_digest
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nativelib, "source_digest", counting)
+        for _ in range(50):
+            assert Solver().backend == "native", sat_native.last_error()
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("clear", [False, True])
+    def test_env_knob_toggles_mid_process(self, cache_dir, monkeypatch,
+                                          clear):
+        """The memo is keyed by the environment the lookup reads, so a
+        knob flipped mid-process takes effect with or without
+        clear_core_cache()."""
+        ambient = os.environ.get("REPRO_NATIVE_CC")
+        assert Solver().backend == "native", sat_native.last_error()
+        monkeypatch.setenv("REPRO_NATIVE_CC", "/nonexistent/cc")
+        if clear:
+            sat_native.clear_core_cache()
+        assert Solver().backend == "python"
+        if ambient is None:
+            monkeypatch.delenv("REPRO_NATIVE_CC")
+        else:
+            monkeypatch.setenv("REPRO_NATIVE_CC", ambient)
+        if clear:
+            sat_native.clear_core_cache()
+        assert Solver().backend == "native", sat_native.last_error()
+
     def test_failure_is_remembered_per_process(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path / "c"))
         monkeypatch.setenv("REPRO_NATIVE_CC", "/nonexistent/cc")
