@@ -29,7 +29,7 @@ from .removal import (
     find_critical_signal,
     unit_off_value,
 )
-from .structural import candidate_pattern_sets, enumerate_cone_patterns
+from .structural import candidate_pattern_sets
 
 __all__ = [
     "kratt_ol_attack",
@@ -50,7 +50,6 @@ __all__ = [
     "modified_locking_unit",
     "modified_dflt_subcircuit",
     "candidate_pattern_sets",
-    "enumerate_cone_patterns",
     "OgSearchResult",
     "og_exhaustive_search",
     "infer_key_from_hd_constraints",

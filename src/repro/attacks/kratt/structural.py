@@ -29,26 +29,18 @@ from ...netlist.cone import _cones_with_supports
 from ...sat.solver import Solver
 from ...sat.tseitin import ConeEncoder
 
-__all__ = ["candidate_pattern_sets", "enumerate_cone_patterns"]
-
-
-def enumerate_cone_patterns(subcircuit, root, value, ppis, limit=4):
-    """Up to ``limit`` assignments of the cone's PPIs with root == value.
-
-    Each returned dict assigns 0/1 to the PPIs in the cone's support and
-    ``None`` (X) to every other PPI.  Solutions are enumerated with
-    blocking clauses over the support variables, in a fresh solver per
-    call.
-    """
-    ppis = list(ppis)
-    cone = ConeEncoder(subcircuit).encode(root)
-    return _cone_patterns(cone, value, ppis, set(ppis), limit)
+__all__ = ["candidate_pattern_sets"]
 
 
 def _cone_patterns(cone, value, ppis, ppi_set, limit):
     """Replay ``cone`` (a :class:`~repro.sat.tseitin.ConeCNF`) into a
     fresh solver, pin its root to ``value`` and enumerate up to
-    ``limit`` assignments of its PPIs."""
+    ``limit`` assignments of its PPIs.
+
+    Each returned dict assigns 0/1 to the PPIs in the cone's support and
+    ``None`` (X) to every other PPI; solutions are told apart by
+    blocking clauses over the support variables.
+    """
     support = [(sig, var) for sig, var in zip(cone.inputs, cone.input_vars)
                if sig in ppi_set]
     if not support:

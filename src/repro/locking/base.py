@@ -75,11 +75,6 @@ class LockedCircuit:
     def key_width(self):
         return len(self.key_inputs)
 
-    def key_as_bits(self, key=None):
-        """Key as a tuple of 0/1 in ``key_inputs`` order."""
-        key = key if key is not None else self.correct_key
-        return tuple(int(bool(key[k])) for k in self.key_inputs)
-
     def with_key(self, key):
         """Locked circuit specialized to a key assignment.
 
@@ -104,10 +99,6 @@ class LockedCircuit:
         fixed.set_outputs(list(self.circuit.outputs))
         fixed.validate()
         return fixed
-
-    def oracle_circuit(self):
-        """The circuit an oracle (functional IC) evaluates."""
-        return self.original
 
     def __repr__(self):
         return (

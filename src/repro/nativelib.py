@@ -1,13 +1,11 @@
-"""Build, cache and load machinery for native (C-compiled) components.
+"""Build, cache and load machinery for the native (C-compiled) solver core.
 
 One hot path crosses into C: the CDCL search core
 (:mod:`repro.sat.native`).  Its lifecycle is this module's — a C
 translation unit content-addressed by its SHA-256, compiled once per
 host with the local toolchain, published atomically into a cache
 directory, loaded through ``ctypes``, and degrading silently to the
-pure-Python implementation on any failure.  Every entry point takes a
-component name (``"solver"``), which keys the gates, the load cache and
-the error latches:
+pure-Python implementation on any failure:
 
 * **Content addresses cover the whole build.** A library's digest
   hashes its source together with the compiler path and the extra
@@ -15,18 +13,14 @@ the error latches:
   build, say) or another compiler lands in its own cache entry: it
   never loads an ``-O3`` library built before it, and default runs
   never load it.
-
-* **Gates.** ``REPRO_NATIVE=0`` is the master switch that disables
-  everything; ``REPRO_NATIVE_<COMPONENT>=0`` (``REPRO_NATIVE_SOLVER=0``)
-  disables one component.
 * **One lookup per process.** :func:`load_library` memoizes its
-  outcome — handle or failure — under its arguments and every
-  environment value the lookup reads (the gates, ``REPRO_NATIVE_CC``,
+  outcome — handle or failure — under the source and every environment
+  value the lookup reads (``REPRO_NATIVE_SOLVER``, ``REPRO_NATIVE_CC``,
   ``REPRO_NATIVE_CFLAGS``, ``REPRO_NATIVE_CACHE_DIR`` and ``PATH``).  A
-  repeat load neither scans ``PATH`` nor re-hashes the source, a
-  ``.so`` that fails to compile is tried once, and changing a knob
-  mid-process still takes effect.  ``last_error(component)`` reports
-  the most recent failure per component.
+  repeat load neither scans ``PATH`` nor re-hashes the source, a ``.so``
+  that fails to compile is tried once, and changing a knob mid-process
+  still takes effect.  Every lookup, memo hits included, sets
+  :func:`last_error`: ``None`` after a load, the failure otherwise.
 * **Atomic publication.** Builds compile to a ``.tmp.<pid>`` path and
   ``os.replace`` into ``<digest>.so`` (the prep-store pattern), so
   concurrent workers never observe a torn library; a cache entry that
@@ -34,10 +28,8 @@ the error latches:
 
 Knobs:
 
-``REPRO_NATIVE=0``
-    Disable every native component (pure-Python behavior, bit-identical).
 ``REPRO_NATIVE_SOLVER=0``
-    Disable the solver core only.
+    Disable the solver core (pure-Python behavior, bit-identical).
 ``REPRO_NATIVE_CC=<path>``
     Compiler override; pointing it at a missing binary simulates a host
     without a toolchain.
@@ -62,7 +54,6 @@ __all__ = [
     "native_enabled",
     "find_compiler",
     "native_available",
-    "compiler_info",
     "cache_dir",
     "extra_flags",
     "compile_and_publish",
@@ -86,19 +77,10 @@ DEFAULT_CACHE_DIR = os.path.join(
 )
 
 
-def native_enabled(component=None):
-    """Whether the env permits native backends.
-
-    ``REPRO_NATIVE=0`` disables everything; with a ``component`` name
-    (``"solver"``) the per-component override
-    ``REPRO_NATIVE_<COMPONENT>=0`` is also honored.
-    """
-    if os.environ.get("REPRO_NATIVE", "1") == "0":
-        return False
-    if component is not None:
-        if os.environ.get(f"REPRO_NATIVE_{component.upper()}", "1") == "0":
-            return False
-    return True
+def native_enabled():
+    """Whether the env permits the native core (``REPRO_NATIVE_SOLVER``
+    is not ``0``)."""
+    return os.environ.get("REPRO_NATIVE_SOLVER", "1") != "0"
 
 
 def find_compiler():
@@ -123,15 +105,9 @@ def find_compiler():
     return None
 
 
-def native_available(component=None):
-    """True when the backend is enabled and a compiler is present."""
-    return native_enabled(component) and find_compiler() is not None
-
-
-def compiler_info(component=None):
-    """``{"cc": path-or-None, "available": bool}`` for bench env blocks."""
-    cc = find_compiler()
-    return {"cc": cc, "available": cc is not None and native_enabled(component)}
+def native_available():
+    """True when the core is enabled and a compiler is present."""
+    return native_enabled() and find_compiler() is not None
 
 
 def cache_dir():
@@ -190,54 +166,57 @@ def compile_and_publish(source, digest, cc, directory, flags=()):
                 pass
 
 
-#: (component, source, directory, cc, environment) -> the outcome of
-#: :func:`load_library`: the loaded handle, or the NativeUnavailable it
-#: raised, remembered per process.
+#: (source, environment) -> the outcome of :func:`load_library`: the
+#: loaded handle, or the NativeUnavailable it raised, remembered per
+#: process.
 _LOADED = {}
 
-#: Most recent build/load failure message per component.
-_LAST_ERRORS = {}
+#: The outcome of the most recent lookup: ``None`` after a load, else
+#: the failure message.
+_last_error = None
 
 
-def _lookup_env(component):
+def _lookup_env():
     """Every environment value a library lookup reads."""
     get = os.environ.get
-    return (get("REPRO_NATIVE"), get(f"REPRO_NATIVE_{component.upper()}"),
-            get("REPRO_NATIVE_CC"), get("REPRO_NATIVE_CFLAGS"),
-            get("REPRO_NATIVE_CACHE_DIR"), get("PATH"))
+    return (get("REPRO_NATIVE_SOLVER"), get("REPRO_NATIVE_CC"),
+            get("REPRO_NATIVE_CFLAGS"), get("REPRO_NATIVE_CACHE_DIR"),
+            get("PATH"))
 
 
-def load_library(component, source, configure, directory=None, cc=None):
-    """Load (building on demand) a component's shared library.
+def load_library(source, configure):
+    """Load (building on demand) the shared library built from ``source``.
 
     ``configure(lib)`` is called once on the fresh ``ctypes.CDLL``
     handle to declare argtypes/restypes.  Raises
     :class:`NativeUnavailable`.  The outcome — handle or failure — is
-    memoized per arguments and environment, so a repeat call costs one
+    memoized per source and environment, so a repeat call costs one
     dict lookup: no ``PATH`` scan, no source hash, no subprocess.
+    Either way it becomes :func:`last_error`.
     """
-    key = (component, source, directory, cc, _lookup_env(component))
+    key = (source, _lookup_env())
     outcome = _LOADED.get(key)
     if outcome is None:
         try:
-            outcome = _load_library(component, source, configure, directory,
-                                    cc)
+            outcome = _load_library(source, configure)
         except NativeUnavailable as exc:
             outcome = exc
         _LOADED[key] = outcome
     if isinstance(outcome, NativeUnavailable):
+        record_error(str(outcome))
         raise outcome.with_traceback(None)
+    record_error(None)
     return outcome
 
 
-def _load_library(component, source, configure, directory, cc):
+def _load_library(source, configure):
     """The lookup :func:`load_library` memoizes: gate, find, build, load."""
-    if not native_enabled(component):
-        raise NativeUnavailable(
-            f"disabled via REPRO_NATIVE / REPRO_NATIVE_{component.upper()}"
-        )
-    directory = directory or cache_dir()
-    cc = cc or find_compiler()
+    if not native_enabled():
+        raise NativeUnavailable("disabled via REPRO_NATIVE_SOLVER=0")
+    directory = cache_dir()
+    cc = find_compiler()
+    if cc is None:
+        raise NativeUnavailable("no C compiler found (cc/gcc/clang)")
     flags = extra_flags()
     digest = source_digest(source, cc, flags)
 
@@ -248,11 +227,9 @@ def _load_library(component, source, configure, directory, cc):
 
     so_path = os.path.join(directory, f"{digest}.so")
     try:
-        if cc is None:
-            raise NativeUnavailable("no C compiler found (cc/gcc/clang)")
         if os.path.exists(so_path):
             try:
-                lib = load(so_path)
+                return load(so_path)
             except OSError:
                 # Corrupt/truncated cache entry (killed writer on an
                 # exotic filesystem): drop it and rebuild once.
@@ -260,40 +237,25 @@ def _load_library(component, source, configure, directory, cc):
                     os.unlink(so_path)
                 except OSError:
                     pass
-                compile_and_publish(source, digest, cc, directory, flags)
-                lib = load(so_path)
-        else:
-            compile_and_publish(source, digest, cc, directory, flags)
-            lib = load(so_path)
-    except NativeUnavailable as exc:
-        record_error(component, str(exc))
-        raise
+        compile_and_publish(source, digest, cc, directory, flags)
+        return load(so_path)
     except OSError as exc:
-        failure = NativeUnavailable(f"{component} library load failed: {exc}")
-        record_error(component, str(failure))
-        raise failure from exc
-    return lib
+        raise NativeUnavailable(f"library load failed: {exc}") from exc
 
 
-def clear_cache(component=None):
-    """Forget per-process load outcomes (tests toggling env knobs).
-
-    With a ``component`` only that component's entries and error latch
-    are dropped; without one, everything is.
-    """
-    for key in [k for k in _LOADED if component in (None, k[0])]:
-        del _LOADED[key]
-    if component is None:
-        _LAST_ERRORS.clear()
-    else:
-        _LAST_ERRORS.pop(component, None)
+def clear_cache():
+    """Forget per-process load outcomes (tests toggling env knobs)."""
+    _LOADED.clear()
+    record_error(None)
 
 
-def record_error(component, message):
-    """Remember a component's most recent failure for diagnostics."""
-    _LAST_ERRORS[component] = message
+def record_error(message):
+    """Set :func:`last_error` (``None`` clears it)."""
+    global _last_error
+    _last_error = message
 
 
-def last_error(component):
-    """The component's most recent build/load failure, or ``None``."""
-    return _LAST_ERRORS.get(component)
+def last_error():
+    """The most recent build/load failure, or ``None`` when the most
+    recent lookup loaded the library."""
+    return _last_error

@@ -44,17 +44,9 @@ class CNF:
         """Look up the variable bound to ``name``; KeyError if absent."""
         return self._name_to_var[name]
 
-    def has_var(self, name):
-        return name in self._name_to_var
-
     def name_of(self, var):
         """Name bound to ``var`` or ``None``."""
         return self._var_to_name.get(var)
-
-    @property
-    def named_vars(self):
-        """Mapping view of name -> variable."""
-        return dict(self._name_to_var)
 
     # ------------------------------------------------------------------
     # clauses

@@ -62,8 +62,9 @@ Caching, fallback, knobs
 Built and loaded through :mod:`repro.nativelib`: the core is
 content-addressed under its cache directory, published atomically, and
 every failure (no compiler, failed compile, corrupt cache entry)
-degrades silently to the pure-Python loops, latched once per process.
-``REPRO_NATIVE=0`` or ``REPRO_NATIVE_SOLVER=0`` disables it.
+degrades silently to the pure-Python loops, latched once per process;
+:func:`repro.nativelib.last_error` says why.  ``REPRO_NATIVE_SOLVER=0``
+disables it.
 """
 
 from __future__ import annotations
@@ -77,23 +78,15 @@ from ..nativelib import NativeUnavailable
 __all__ = [
     "NativeSolverCore",
     "NativeUnavailable",
-    "native_enabled",
-    "native_available",
     "build_core",
     "core_source",
-    "last_error",
-    "clear_core_cache",
     "SOURCE_FORMAT_VERSION",
-    "COMPONENT",
     "UNSAT",
     "SAT",
     "BUDGET",
     "PAUSE",
     "ROOT_UNSAT",
 ]
-
-#: The per-component gate/latch name under :mod:`repro.nativelib`.
-COMPONENT = "solver"
 
 #: Bumped whenever the C core changes meaning; part of the source (hence
 #: the content hash), so stale ``.so`` entries stop matching instead of
@@ -1023,17 +1016,6 @@ def core_source():
     return _CORE_SOURCE
 
 
-def native_enabled():
-    """Whether the env permits this backend (``REPRO_NATIVE`` != 0 and
-    ``REPRO_NATIVE_SOLVER`` != 0)."""
-    return nativelib.native_enabled(COMPONENT)
-
-
-def native_available():
-    """True when the backend is enabled and a compiler is present."""
-    return nativelib.native_available(COMPONENT)
-
-
 _VOIDP = ctypes.c_void_p
 _P64 = ctypes.POINTER(ctypes.c_int64)
 _PDBL = ctypes.POINTER(ctypes.c_double)
@@ -1076,21 +1058,9 @@ def _configure(lib):
         fn.restype = _LONG
 
 
-def _load_core(directory=None, cc=None):
+def _load_core():
     """Load (building on demand) the shared solver core library."""
-    return nativelib.load_library(
-        COMPONENT, core_source(), _configure, directory=directory, cc=cc
-    )
-
-
-def clear_core_cache():
-    """Forget per-process load outcomes (tests toggling env knobs)."""
-    nativelib.clear_cache(COMPONENT)
-
-
-def last_error():
-    """The most recent build failure message, or ``None``."""
-    return nativelib.last_error(COMPONENT)
+    return nativelib.load_library(core_source(), _configure)
 
 
 class NativeSolverCore:
@@ -1105,13 +1075,15 @@ class NativeSolverCore:
     call: a search may move the arena and the ref arrays.
     """
 
-    def __init__(self, directory=None, cc=None):
+    def __init__(self):
         self._lib = None
         self._s = None
-        lib = _load_core(directory=directory, cc=cc)
+        lib = _load_core()
         handle = lib.repro_sat_new()
         if not handle:
-            raise NativeUnavailable("repro_sat_new returned NULL")
+            message = "repro_sat_new returned NULL"
+            nativelib.record_error(message)
+            raise NativeUnavailable(message)
         self._lib = lib
         self._s = handle
         self._var_cap = -1
@@ -1226,16 +1198,14 @@ class NativeSolverCore:
         self._lib.repro_sat_new_decision_level(self._s)
 
 
-def build_core(directory=None, cc=None):
+def build_core():
     """Best-effort :class:`NativeSolverCore`.
 
-    Returns ``None`` (and records :func:`last_error`) instead of
-    raising: every failure mode must degrade to the Python loops.
+    Returns ``None`` instead of raising: every failure mode, a disabled
+    core included, must degrade to the Python loops.  The lookup sets
+    :func:`repro.nativelib.last_error` either way.
     """
-    if not native_enabled():
-        return None
     try:
-        return NativeSolverCore(directory=directory, cc=cc)
-    except NativeUnavailable as exc:
-        nativelib.record_error(COMPONENT, str(exc))
+        return NativeSolverCore()
+    except NativeUnavailable:
         return None

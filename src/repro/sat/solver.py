@@ -23,8 +23,8 @@ there, over C-owned clauses, watch lists, trail, order heap and learnt
 activities.  The C loop mirrors the Python one routine for routine, so
 the two modes are bit-identical — same propagation counts, same learnt
 clauses, same models — and ``Solver(native=False)`` (or
-``REPRO_NATIVE=0`` / ``REPRO_NATIVE_SOLVER=0``, or any compile failure)
-runs the pure-Python loops in this file, which stay the reference.
+``REPRO_NATIVE_SOLVER=0``, or any compile failure) runs the pure-Python
+loops in this file, which stay the reference.
 A bounded deadline is probed at the same points in both modes: before
 every decision, every ``_PROPS_PER_TIME_CHECK`` trail pops and every
 ``_CONFLICTS_PER_TIME_CHECK`` conflicts — by the C core's own monotonic
@@ -155,7 +155,7 @@ class Solver:
     ``enc & 1``, and unassigned iff the slot is ``-1``.
     """
 
-    def __init__(self, native=None):
+    def __init__(self, native=True):
         self._num_vars = 0
         self._clauses = []
         self._learnts = []
@@ -182,14 +182,14 @@ class Solver:
         self._seen = bytearray(1)  # conflict-analysis marks, by var
         self._clause_act = {}  # id(learnt clause) -> activity, warm
         self._max_learnts = 0  # learned-DB limit, grows monotonically
-        # ``native=None`` auto-engages the C search core when it is
-        # enabled and buildable; False pins the pure-Python loops (the
-        # REPRO_NATIVE=0 behavior); True requests it but still degrades
-        # silently — check :attr:`backend` to see what engaged.  The core
-        # owns the clauses, trail and heuristic state; only the views
-        # below and the activity increments stay on this side.
+        # ``native=True`` engages the C search core when it is enabled
+        # and buildable and degrades silently otherwise — check
+        # :attr:`backend` to see what engaged; False pins the pure-Python
+        # loops (the REPRO_NATIVE_SOLVER=0 behavior).  The core owns the
+        # clauses, trail and heuristic state; only the views below and
+        # the activity increments stay on this side.
         self._native = None
-        if native is None or native:
+        if native:
             core = sat_native.build_core()
             if core is not None:
                 self._native = core
@@ -264,13 +264,6 @@ class Solver:
         if v < 0:
             return _UNASSIGNED
         return v ^ (enc & 1)
-
-    def _lit_value(self, lit):
-        """Value of a signed literal (compat shim over :meth:`_enc_value`)."""
-        v = self._assign[abs(lit)]
-        if v == _UNASSIGNED:
-            return _UNASSIGNED
-        return v ^ (lit < 0)
 
     def add_clause(self, literals):
         """Add a problem clause (signed literals); False if now UNSAT."""

@@ -35,7 +35,7 @@ from factories import build_random_circuit, random_3cnf
 from repro.attacks import Oracle
 from repro.attacks.dip import DipEngine
 from repro.locking import lock_sarlock
-from repro.sat import native as sat_native
+from repro import nativelib
 from repro.sat.solver import Solver
 
 BACKENDS = [
@@ -43,8 +43,8 @@ BACKENDS = [
     pytest.param(
         "native",
         marks=pytest.mark.skipif(
-            not sat_native.native_available(),
-            reason=sat_native.last_error() or "native solver core unavailable",
+            not nativelib.native_available(),
+            reason=nativelib.last_error() or "native solver core unavailable",
         ),
     ),
 ]
@@ -53,7 +53,7 @@ BACKENDS = [
 def _solver(backend):
     solver = Solver(native=backend == "native")
     # A silent fallback to the Python loops must not pass the native half.
-    assert solver.backend == backend, sat_native.last_error()
+    assert solver.backend == backend, nativelib.last_error()
     return solver
 
 
@@ -134,7 +134,7 @@ def _dip_trajectory(backend):
         locked.circuit, locked.key_inputs,
         solver_factory=lambda: _Recording(backend == "native", trajectory),
     )
-    assert engine.solver.backend == backend, sat_native.last_error()
+    assert engine.solver.backend == backend, nativelib.last_error()
     for _ in range(100):
         status, x = engine.find_dip()
         if status is not True:

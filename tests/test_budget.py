@@ -16,7 +16,7 @@ from repro.budget import Deadline
 from repro.locking import TECHNIQUES, lock_sarlock, lock_ttlock, lock_xor
 from repro.netlist import Circuit
 from repro.qbf import solve_exists_forall_circuit
-from repro.sat import native as sat_native
+from repro import nativelib
 from repro.sat.solver import Solver
 
 
@@ -126,8 +126,8 @@ class TestSolverBudget:
         assert solver.solve([1], time_limit=30.0) is True
 
     @pytest.mark.skipif(
-        not sat_native.native_available(),
-        reason=sat_native.last_error() or "native solver core unavailable",
+        not nativelib.native_available(),
+        reason=nativelib.last_error() or "native solver core unavailable",
     )
     def test_expiry_mid_search_keeps_native_on_python_trajectory(self):
         """A deadline that expires mid-search, conflicts deep: the C
@@ -145,7 +145,7 @@ class TestSolverBudget:
         for native in (False, True):
             solver = Solver(native=native)
             assert solver.backend == ("native" if native else "python"), (
-                sat_native.last_error())
+                nativelib.last_error())
             solver.add_cnf(cnf)
             assert solver.solve([3, -7], max_conflicts=40) is None
             deadline = Deadline.from_limit(

@@ -16,12 +16,12 @@ import random
 
 import pytest
 
-from repro.sat import native as sat_native
+from repro import nativelib
 from repro.sat.solver import Solver
 
 needs_native_core = pytest.mark.skipif(
-    not sat_native.native_available(),
-    reason=sat_native.last_error() or "native solver core unavailable",
+    not nativelib.native_available(),
+    reason=nativelib.last_error() or "native solver core unavailable",
 )
 
 
@@ -36,7 +36,7 @@ def _flat(clauses):
 def _solver(backend):
     solver = Solver(native=backend == "native")
     # A silent fallback to the Python loops must not pass the native half.
-    assert solver.backend == backend, sat_native.last_error()
+    assert solver.backend == backend, nativelib.last_error()
     return solver
 
 

@@ -1,10 +1,10 @@
 """Every ``REPRO_*`` environment knob the package reads is documented.
 
 The inventory comes from the source of ``src/repro``: every string
-literal that is exactly a ``REPRO_*`` name, outside docstrings, plus the
-``REPRO_NATIVE_<COMPONENT>`` family built by f-string from each native
-component's ``COMPONENT`` name.  README.md must document each of them,
-and no ``REPRO_*`` name the package no longer reads.
+literal that is exactly a ``REPRO_*`` name, outside docstrings.  No knob
+name is built at run time (an f-string ``REPRO_*`` prefix fails the
+inventory).  README.md must document each of them, and no ``REPRO_*``
+name the package no longer reads.
 """
 
 import ast
@@ -30,29 +30,20 @@ def _docstrings(tree):
 
 
 def knobs_read():
-    names, prefixes, components = set(), set(), set()
+    names = set()
     for path in SRC.rglob("*.py"):
         tree = ast.parse(path.read_text(), filename=str(path))
         skip = {id(node) for node in _docstrings(tree)}
         for node in ast.walk(tree):
             if isinstance(node, ast.JoinedStr):
                 head = node.values[0]
-                if (isinstance(head, ast.Constant)
-                        and re.fullmatch(r"REPRO_[A-Z0-9_]*_", str(head.value))):
-                    prefixes.add(head.value)
-                    skip.add(id(head))
-            elif (isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "COMPONENT"
-                            for t in node.targets)
-                    and isinstance(node.value, ast.Constant)):
-                components.add(node.value.value)
+                assert not (isinstance(head, ast.Constant)
+                            and str(head.value).startswith("REPRO_")), (
+                    f"{path.name}: knob name built at run time")
             elif (isinstance(node, ast.Constant) and id(node) not in skip
                     and isinstance(node.value, str)
                     and NAME.fullmatch(node.value)):
                 names.add(node.value)
-    assert prefixes <= {"REPRO_NATIVE_"}, f"unknown knob family {prefixes}"
-    assert components, "no native COMPONENT found for REPRO_NATIVE_<COMPONENT>"
-    names |= {p + c.upper() for p in prefixes for c in components}
     return names
 
 
@@ -62,8 +53,11 @@ def knobs_documented():
 
 def test_inventory_finds_the_known_knobs():
     read = knobs_read()
-    assert {"REPRO_SCALE", "REPRO_NATIVE", "REPRO_NATIVE_SOLVER",
+    assert {"REPRO_SCALE", "REPRO_NATIVE_SOLVER", "REPRO_NATIVE_CC",
+            "REPRO_NATIVE_CFLAGS", "REPRO_NATIVE_CACHE_DIR",
             "REPRO_PREP_STORE", "REPRO_FAULT_KILL_RATE"} <= read
+    # One switch for the one native component: the master switch is gone.
+    assert "REPRO_NATIVE" not in read
 
 
 def test_every_knob_read_is_documented():

@@ -5,12 +5,13 @@ import pytest
 from factories import build_random_circuit
 from repro.attacks.kratt import (
     candidate_pattern_sets,
-    enumerate_cone_patterns,
     extract_unit,
     classify_restore_unit,
     locked_subcircuit,
 )
+from repro.attacks.kratt.structural import _cone_patterns
 from repro.locking import lock_ttlock
+from repro.sat.tseitin import ConeEncoder
 from repro.synth import dead_code_eliminate, propagate_constants
 
 
@@ -65,8 +66,9 @@ class TestEnumerateConePatterns:
 
         roots = cones_with_support_within(fsc, extraction.protected_inputs, 2)
         assert roots
-        pats = enumerate_cone_patterns(fsc, roots[0], 1, extraction.protected_inputs,
-                                       limit=3)
+        ppis = list(extraction.protected_inputs)
+        cone = ConeEncoder(fsc).encode(roots[0])
+        pats = _cone_patterns(cone, 1, ppis, set(ppis), limit=3)
         specified = [
             tuple((p, v) for p, v in pat.items() if v is not None) for pat in pats
         ]

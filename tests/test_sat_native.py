@@ -2,10 +2,11 @@
 
 Bit-identity of the native search core against the Python loop is
 covered at fuzz depth in ``tests/test_solver_differential.py``; this
-module owns the lifecycle: environment knobs, compiler discovery
-(:mod:`repro.nativelib`), the compile-once content-addressed cache,
-corrupt cache recovery, and the guarantee that every failure degrades
-to the Python loop with the same answers.
+module owns the lifecycle (:mod:`repro.nativelib`): the one switch
+``REPRO_NATIVE_SOLVER``, compiler discovery, the compile-once
+content-addressed cache, corrupt cache recovery, ``last_error`` telling
+the outcome of the latest lookup, and the guarantee that every failure
+degrades to the Python loop with the same answers.
 """
 
 import multiprocessing
@@ -29,15 +30,14 @@ def cache_dir(tmp_path, monkeypatch):
     """Fresh cache dir per test; the core's load outcome is reset.
 
     The ambient environment is pinned to native-on so the suite means
-    the same thing under e.g. ``REPRO_NATIVE=0``; tests that exercise
+    the same thing under ``REPRO_NATIVE_SOLVER=0``; tests that exercise
     the knobs override them explicitly.
     """
-    monkeypatch.setenv("REPRO_NATIVE", "1")
     monkeypatch.delenv("REPRO_NATIVE_SOLVER", raising=False)
     monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path / "cache"))
-    sat_native.clear_core_cache()
+    nativelib.clear_cache()
     yield str(tmp_path / "cache")
-    sat_native.clear_core_cache()
+    nativelib.clear_cache()
 
 
 def _solve_both(cnf, **kwargs):
@@ -57,25 +57,23 @@ def _solve_both(cnf, **kwargs):
 
 
 class TestAvailability:
-    def test_master_switch_disables_solver(self, monkeypatch, cache_dir):
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        assert not sat_native.native_enabled()
-        assert not sat_native.native_available()
-        assert Solver().backend == "python"
-
-    def test_component_switch_disables_only_solver(self, monkeypatch,
-                                                   cache_dir):
-        monkeypatch.setenv("REPRO_NATIVE", "1")  # master switch on
+    def test_switch_disables_solver(self, monkeypatch, cache_dir):
         monkeypatch.setenv("REPRO_NATIVE_SOLVER", "0")
-        assert not sat_native.native_enabled()
-        # The master switch itself stays on.
-        assert nativelib.native_enabled()
+        assert not nativelib.native_enabled()
+        assert not nativelib.native_available()
         assert Solver().backend == "python"
+        assert "disabled" in nativelib.last_error()
+        # The retired master switch turns nothing on or off.
+        monkeypatch.setenv("REPRO_NATIVE", "1")
+        assert Solver().backend == "python"
+        monkeypatch.delenv("REPRO_NATIVE_SOLVER")
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        assert nativelib.native_enabled()
 
     def test_compiler_override_missing_binary(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_CC", "/nonexistent/cc")
         assert nativelib.find_compiler() is None
-        assert not sat_native.native_available()
+        assert not nativelib.native_available()
 
     @needs_cc
     def test_compiler_override_bare_name_resolves_on_path(self, monkeypatch):
@@ -89,15 +87,33 @@ class TestAvailability:
         monkeypatch.setenv("REPRO_NATIVE_CC", "definitely-not-a-compiler")
         assert nativelib.find_compiler() is None
 
-    def test_compiler_info_shape(self):
-        info = nativelib.compiler_info(sat_native.COMPONENT)
-        assert set(info) == {"cc", "available"}
-
     def test_build_core_degrades_to_none(self, monkeypatch, cache_dir):
-        monkeypatch.setenv("REPRO_NATIVE", "1")
         monkeypatch.setenv("REPRO_NATIVE_CC", "/nonexistent/cc")
         assert sat_native.build_core() is None
-        assert "no C compiler" in sat_native.last_error()
+        assert "no C compiler" in nativelib.last_error()
+
+    def test_last_error_tells_the_latest_lookup(self, monkeypatch,
+                                                cache_dir):
+        """Every lookup, memo hits included, replaces the last error: a
+        load clears it and a switched-off core says so, whatever failed
+        before."""
+        configs = [("REPRO_NATIVE_CC", "/nonexistent/cc", "no C compiler"),
+                   ("REPRO_NATIVE_SOLVER", "0", "disabled")]
+        if HAVE_CC:
+            configs.append((None, None, None))
+        for _ in range(2):  # the second round is all memo hits
+            for knob, value, reason in configs:
+                monkeypatch.delenv("REPRO_NATIVE_CC", raising=False)
+                monkeypatch.delenv("REPRO_NATIVE_SOLVER", raising=False)
+                if knob is not None:
+                    monkeypatch.setenv(knob, value)
+                backend = Solver().backend
+                if reason is None:
+                    assert backend == "native", nativelib.last_error()
+                    assert nativelib.last_error() is None
+                else:
+                    assert backend == "python"
+                    assert reason in nativelib.last_error()
 
     def test_solver_falls_back_and_stays_correct(self, monkeypatch,
                                                  cache_dir):
@@ -116,15 +132,16 @@ class TestAvailability:
         The other native tests skip on a compiler-less host, so without
         this check a broken C build would pass the suite silently.  Run
         once with a toolchain and once under ``REPRO_NATIVE_CC`` pointing
-        at a missing binary, it asserts opposite outcomes.
+        at a missing binary or under ``REPRO_NATIVE_SOLVER=0``, it
+        asserts opposite outcomes.
         """
         expected = (
-            os.environ.get("REPRO_NATIVE", "1") != "0"
+            os.environ.get("REPRO_NATIVE_SOLVER", "1") != "0"
             and nativelib.find_compiler() is not None
         )
-        assert sat_native.native_available() is expected
+        assert nativelib.native_available() is expected
         assert (Solver().backend == "native") is expected, (
-            sat_native.last_error()
+            nativelib.last_error()
         )
 
     @needs_cc
@@ -132,7 +149,7 @@ class TestAvailability:
         monkeypatch.setattr(sat_native, "_CORE_SOURCE",
                             "#error deliberately broken solver core\n")
         assert sat_native.build_core() is None
-        assert sat_native.last_error() is not None
+        assert nativelib.last_error() is not None
         solver = Solver()
         assert solver.backend == "python"
         solver.add_clause([1])
@@ -150,7 +167,7 @@ class TestCache:
         assert entries_after == entries
 
     def test_no_tmp_files_left_behind(self, cache_dir):
-        assert Solver().backend == "native", sat_native.last_error()
+        assert Solver().backend == "native", nativelib.last_error()
         assert [f for f in os.listdir(cache_dir) if ".tmp." in f] == []
 
     def test_flags_and_compiler_are_part_of_the_cache_key(
@@ -158,12 +175,12 @@ class TestCache:
         """A build under other REPRO_NATIVE_CFLAGS (a sanitizer build,
         say) gets its own entry instead of loading — or replacing — the
         library the default flags built."""
-        assert Solver().backend == "native", sat_native.last_error()
+        assert Solver().backend == "native", nativelib.last_error()
         ambient = os.environ.get("REPRO_NATIVE_CFLAGS", "")
         monkeypatch.setenv("REPRO_NATIVE_CFLAGS",
                            f"{ambient} -DREPRO_CACHE_KEY_PROBE=1")
-        sat_native.clear_core_cache()
-        assert Solver().backend == "native", sat_native.last_error()
+        nativelib.clear_cache()
+        assert Solver().backend == "native", nativelib.last_error()
         entries = [f for f in os.listdir(cache_dir) if f.endswith(".so")]
         assert len(entries) == 2
         cc = nativelib.find_compiler()
@@ -181,7 +198,7 @@ class TestCache:
         with open(path, "wb") as handle:
             handle.write(b"this is not a shared object")
         solver = Solver()
-        assert solver.backend == "native", sat_native.last_error()
+        assert solver.backend == "native", nativelib.last_error()
         solver.add_clause([1, 2])
         solver.add_clause([-1])
         assert solver.solve() is True
@@ -200,7 +217,7 @@ class TestCache:
 
         monkeypatch.setattr(nativelib, "source_digest", counting)
         for _ in range(50):
-            assert Solver().backend == "native", sat_native.last_error()
+            assert Solver().backend == "native", nativelib.last_error()
         assert len(calls) <= 1
 
     @pytest.mark.parametrize("clear", [False, True])
@@ -208,30 +225,30 @@ class TestCache:
                                           clear):
         """The memo is keyed by the environment the lookup reads, so a
         knob flipped mid-process takes effect with or without
-        clear_core_cache()."""
+        clear_cache()."""
         ambient = os.environ.get("REPRO_NATIVE_CC")
-        assert Solver().backend == "native", sat_native.last_error()
+        assert Solver().backend == "native", nativelib.last_error()
         monkeypatch.setenv("REPRO_NATIVE_CC", "/nonexistent/cc")
         if clear:
-            sat_native.clear_core_cache()
+            nativelib.clear_cache()
         assert Solver().backend == "python"
         if ambient is None:
             monkeypatch.delenv("REPRO_NATIVE_CC")
         else:
             monkeypatch.setenv("REPRO_NATIVE_CC", ambient)
         if clear:
-            sat_native.clear_core_cache()
-        assert Solver().backend == "native", sat_native.last_error()
+            nativelib.clear_cache()
+        assert Solver().backend == "native", nativelib.last_error()
 
     def test_failure_is_remembered_per_process(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path / "c"))
         monkeypatch.setenv("REPRO_NATIVE_CC", "/nonexistent/cc")
-        sat_native.clear_core_cache()
+        nativelib.clear_cache()
         with pytest.raises(sat_native.NativeUnavailable):
             sat_native._load_core()
         with pytest.raises(sat_native.NativeUnavailable):
             sat_native._load_core()
-        sat_native.clear_core_cache()
+        nativelib.clear_cache()
 
 
 @needs_cc
@@ -289,7 +306,6 @@ class TestIdentity:
 
 def _race_build(args):
     cache, seed = args
-    os.environ["REPRO_NATIVE"] = "1"
     os.environ.pop("REPRO_NATIVE_SOLVER", None)
     os.environ["REPRO_NATIVE_CACHE_DIR"] = cache
     import sys
@@ -297,14 +313,14 @@ def _race_build(args):
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     from factories import random_3cnf as make_cnf
 
+    from repro import nativelib as lib
     from repro.sat import Solver as S
-    from repro.sat import native as nat
 
-    nat.clear_core_cache()
+    lib.clear_cache()
     cnf = make_cnf(25, 100, seed=seed)
     solver = S(native=True)
     if solver.backend != "native":
-        return ("fail", nat.last_error())
+        return ("fail", lib.last_error())
     solver.ensure_vars(cnf.num_vars)
     for clause in cnf.clauses:
         solver.add_clause(list(clause))

@@ -215,11 +215,11 @@ def test_warm_reuse_agrees_with_legacy_solver_on_attack_cnfs(seed):
 
 import multiprocessing  # noqa: E402
 
-from repro.sat import native as sat_native  # noqa: E402
+from repro import nativelib  # noqa: E402
 
 needs_native_core = pytest.mark.skipif(
-    not sat_native.native_available(),
-    reason=sat_native.last_error() or "native solver core unavailable",
+    not nativelib.native_available(),
+    reason=nativelib.last_error() or "native solver core unavailable",
 )
 
 
@@ -277,7 +277,7 @@ class TestNativeVsPython:
         events = _attack_event_log(technique, seed)
         python = Solver(native=False)
         native = Solver(native=True)
-        assert native.backend == "native", sat_native.last_error()
+        assert native.backend == "native", nativelib.last_error()
         for event in events:
             if event[0] == "clause":
                 clause = list(event[1])
@@ -302,7 +302,7 @@ def _child_trace(args):
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     from factories import random_3cnf as make_cnf
 
-    from repro.sat import native as nat
+    from repro import nativelib as nat
     from repro.sat.solver import Solver as S
 
     if not nat.native_available():

@@ -6,7 +6,9 @@ clause buffer into a fresh solver per value.  The reference below is
 the implementation it replaced: one ``extract_cone`` copy per root and
 one ``encode_into_solver`` of it into a fresh ``Solver`` per value,
 with the roots sorted by a separate ``support`` walk.  Both must return
-equal candidate lists and equal per-cone enumerations, model for model.
+equal candidate lists and equal per-cone enumerations
+(``_cone_patterns`` over one :class:`ConeEncoder` encoding per root),
+model for model.
 
 The reference and the new code could drift together, so a subprocess
 also pins digests of a few candidate lists as the reference produced
@@ -26,10 +28,10 @@ from factories import build_random_circuit
 from repro.attacks.kratt import (
     candidate_pattern_sets,
     classify_restore_unit,
-    enumerate_cone_patterns,
     extract_unit,
     locked_subcircuit,
 )
+from repro.attacks.kratt.structural import _cone_patterns
 from repro.locking import TECHNIQUES
 from repro.netlist import Circuit
 from repro.netlist.cone import cones_with_support_within, extract_cone, support
@@ -173,6 +175,19 @@ def test_candidates_match_reference(technique, kwargs):
     assert max(from_cones) > 0, from_cones
 
 
+def _assert_same_enumerations(view, ppis, roots):
+    """One encoding per root, replayed per value and limit, enumerates
+    what the reference's fresh cone copy does."""
+    encoder = ConeEncoder(view)
+    for root in roots:
+        cone = encoder.encode(root)
+        for value in (0, 1):
+            for limit in (1, 2, 3, 4):
+                assert _cone_patterns(
+                    cone, value, ppis, set(ppis), limit
+                ) == reference_enumerate(view, root, value, ppis, limit=limit)
+
+
 @pytest.mark.parametrize("technique, kwargs", [LOCKS[0], LOCKS[3]],
                          ids=["ttlock", "sfll_hd2"])
 def test_cone_enumerations_match_reference(technique, kwargs):
@@ -180,24 +195,14 @@ def test_cone_enumerations_match_reference(technique, kwargs):
     roots = cones_with_support_within(view, ppis, min_support=2,
                                       maximal_only=False)
     assert roots
-    for root in roots[:12]:
-        for value in (0, 1):
-            for limit in (1, 2, 3, 4):
-                assert enumerate_cone_patterns(
-                    view, root, value, ppis, limit=limit
-                ) == reference_enumerate(view, root, value, ppis, limit=limit)
+    _assert_same_enumerations(view, ppis, roots[:12])
 
 
 def test_wide_xor_view_matches_reference():
     view, ppis = wide_xor_view()
     assert len(_assert_same(view, ppis)) > 2 * len(ppis)
     # Every signal as a root, constants and the non-PPI input included.
-    for root in view.signals:
-        for value in (0, 1):
-            for limit in (1, 2, 3, 4):
-                assert enumerate_cone_patterns(
-                    view, root, value, ppis, limit=limit
-                ) == reference_enumerate(view, root, value, ppis, limit=limit)
+    _assert_same_enumerations(view, ppis, view.signals)
 
 
 class _Recorder:
@@ -237,7 +242,7 @@ def test_encoder_matches_encode_into_solver(case):
 def test_enumerate_unknown_root_raises():
     view, ppis = wide_xor_view()
     with pytest.raises(Exception) as new:
-        enumerate_cone_patterns(view, "missing", 1, ppis)
+        ConeEncoder(view).encode("missing")
     with pytest.raises(Exception) as ref:
         reference_enumerate(view, "missing", 1, ppis)
     assert type(new.value) is type(ref.value)
