@@ -242,9 +242,6 @@ def kratt_og_attack(
             sub, {extraction.critical_signal: bool(off)}
         )
         fsc_view, _ = dead_code_eliminate(fsc_view)
-        # One structural-analysis pass reads this view, then it is
-        # dropped: keep its engine off the kernel compile.
-        fsc_view.mark_ephemeral()
     else:
         fsc_view = sub
 

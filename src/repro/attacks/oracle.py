@@ -24,27 +24,6 @@ class Oracle:
     def __init__(self, circuit):
         self._circuit = circuit
         self.query_count = 0
-        self._pack = None  # (engine, input-position map), built lazily
-        self.pack_builds = 0  # times the pack was (re)derived
-
-    def _prepared(self):
-        """Engine + input-position pattern pack, derived once.
-
-        The DIP loops query the oracle every iteration; deriving the
-        input-position map (and re-fetching the compiled engine) per
-        query was measurable loop overhead.  The pack is keyed to the
-        circuit's current compiled engine, so a (never expected)
-        mutation of the oracle circuit still re-derives it instead of
-        serving stale positions.
-        """
-        engine = self._circuit.compiled()
-        pack = self._pack
-        if pack is None or pack[0] is not engine:
-            pos = {name: i for i, name in enumerate(engine.input_names)}
-            pack = (engine, pos)
-            self._pack = pack
-            self.pack_builds += 1
-        return pack
 
     @property
     def input_names(self):
@@ -62,11 +41,12 @@ class Oracle:
         (KRATT drives non-protected inputs to logic 0, matching the
         paper's exhaustive-search step).
         """
-        engine, pos = self._prepared()
+        engine = self._circuit.compiled()
+        slot = engine.input_slot
         base = 1 if defaults else 0
-        words = [base] * len(engine.input_names)
+        words = [base] * len(slot)
         for name, value in assignment.items():
-            i = pos.get(name)
+            i = slot.get(name)
             if i is not None:
                 words[i] = int(bool(value))
         self.query_count += 1
@@ -86,7 +66,7 @@ class Oracle:
         """
         if not patterns:
             return {} if words else []
-        engine, _ = self._prepared()
+        engine = self._circuit.compiled()
         in_words, mask = engine.pack_input_words(patterns, default=defaults)
         self.query_count += len(patterns)
         out_words = engine.output_words_from_list(in_words, mask)

@@ -33,7 +33,6 @@ from .simulate import (
     random_patterns,
     simulate_exhaustive,
     simulate_patterns,
-    simulate_random,
     unpack_word,
 )
 from .strash import structural_hash
@@ -66,7 +65,6 @@ __all__ = [
     "unpack_word",
     "simulate_patterns",
     "simulate_exhaustive",
-    "simulate_random",
     "random_patterns",
     "outputs_differ",
     "structural_hash",

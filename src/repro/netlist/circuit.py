@@ -37,7 +37,6 @@ class Circuit:
         self._topo_cache = None
         self._fanout_cache = None
         self._compiled_cache = None
-        self._ephemeral = False
 
     # ------------------------------------------------------------------
     # construction
@@ -247,33 +246,19 @@ class Circuit:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def mark_ephemeral(self):
-        """Hint that this circuit is throwaway (evaluated a handful of
-        times, then discarded — KRATT-OG's pinned FSC view is the
-        canonical case).  Its compiled engine then skips Python kernel
-        codegen outright and stays on the instruction interpreter: the
-        compile only amortizes over repeated evaluation this circuit will
-        never see.
-        Returns ``self`` for chaining.
-        """
-        self._ephemeral = True
-        self._compiled_cache = None
-        return self
-
     def compiled(self):
         """The cached :class:`~repro.netlist.engine.CompiledCircuit`.
 
-        Built on first use and invalidated by every structural mutation;
-        this is the fast path behind :meth:`evaluate` and the entry point
-        for the batch/sweep interfaces hot callers use directly.
+        Built on first use and invalidated by every structural mutation,
+        so a mutated circuit gets fresh instructions and a fresh
+        input-slot map.  This is the fast path behind :meth:`evaluate`
+        and the entry point for the batch/sweep interfaces hot callers
+        use directly.
         """
         if self._compiled_cache is None:
             from .engine import CompiledCircuit
 
-            if self._ephemeral:
-                self._compiled_cache = CompiledCircuit(self, codegen=False)
-            else:
-                self._compiled_cache = CompiledCircuit(self)
+            self._compiled_cache = CompiledCircuit(self)
         return self._compiled_cache
 
     def evaluate(self, assignment, mask=1, outputs_only=False):

@@ -10,18 +10,10 @@ a ``reduce``/lambda call — that dwarfs the actual bitwise work.
 the netlist into integer-indexed instruction tuples
 ``(opcode, out_index, fanin_a, fanin_b)`` in topological order, with
 specialized opcodes for the 2-input forms of AND/OR/XOR/NAND/NOR/XNOR
-and for NOT/BUF/constants.  Evaluation runs the instructions over a
-preallocated value list — no dict, no ``Gate``, no enum in the loop.
-Two execution paths share the instruction array:
-
-* a **generated kernel**: the instructions are rendered to Python source
-  (one assignment per gate, split into chunks so compile time stays
-  bounded on huge netlists) and ``exec``-compiled once per circuit;
-* an **instruction interpreter** that runs an engine's first
-  evaluations (so a circuit evaluated once or twice never pays the
-  compile), every evaluation of a circuit marked with
-  :meth:`Circuit.mark_ephemeral`, and the cross-checks that disable
-  code generation.
+and for NOT/BUF/constants.  Evaluation interprets the instructions over
+a preallocated value list — no dict, no ``Gate``, no enum in the loop,
+and no per-circuit compile step, so a throwaway circuit evaluated once
+costs no more than the flattening.
 
 Wide-word sweeps are chunked: a ``2**n`` exhaustive sweep is split into
 fixed-width chunks so Python bigints stay cache-sized instead of growing
@@ -68,15 +60,6 @@ _BASE_OP = {
     GateType.XNOR: (OP_XNOR2, OP_XNORN),
 }
 
-_NARY_JOIN = {
-    OP_ANDN: (" & ", False),
-    OP_ORN: (" | ", False),
-    OP_XORN: (" ^ ", False),
-    OP_NANDN: (" & ", True),
-    OP_NORN: (" | ", True),
-    OP_XNORN: (" ^ ", True),
-}
-
 #: Sweep chunk width when ``chunk_bits`` is not given:
 #: 2**13 patterns = 1 KiB per signal word.
 DEFAULT_CHUNK_BITS = 13
@@ -85,39 +68,6 @@ DEFAULT_CHUNK_BITS = 13
 #: per signal — beyond it, bigint arithmetic dominates and exhaustion
 #: is the wrong tool anyway.
 MAX_EXHAUSTIVE_INPUTS = 24
-
-#: Instruction count per generated kernel function; bounds compile cost.
-_CODEGEN_CHUNK = 6000
-
-
-def _instruction_source(inst):
-    """Render one instruction as a Python assignment statement."""
-    op, out, a, b = inst
-    if op == OP_AND2:
-        return f"v[{out}] = v[{a}] & v[{b}]"
-    if op == OP_OR2:
-        return f"v[{out}] = v[{a}] | v[{b}]"
-    if op == OP_XOR2:
-        return f"v[{out}] = v[{a}] ^ v[{b}]"
-    if op == OP_NAND2:
-        return f"v[{out}] = m ^ (v[{a}] & v[{b}])"
-    if op == OP_NOR2:
-        return f"v[{out}] = m ^ (v[{a}] | v[{b}])"
-    if op == OP_XNOR2:
-        return f"v[{out}] = m ^ (v[{a}] ^ v[{b}])"
-    if op == OP_NOT:
-        return f"v[{out}] = m ^ v[{a}]"
-    if op == OP_BUF:
-        return f"v[{out}] = v[{a}]"
-    if op == OP_CONST0:
-        return f"v[{out}] = 0"
-    if op == OP_CONST1:
-        return f"v[{out}] = m"
-    join, invert = _NARY_JOIN[op]
-    expr = join.join(f"v[{i}]" for i in a)
-    if invert:
-        return f"v[{out}] = m ^ ({expr})"
-    return f"v[{out}] = {expr}"
 
 
 class CompiledCircuit:
@@ -129,13 +79,9 @@ class CompiledCircuit:
         The netlist to compile.  The compiled form snapshots the current
         structure; obtain instances through :meth:`Circuit.compiled` so
         mutation invalidates them automatically.
-    codegen:
-        Generate and ``exec``-compile a Python kernel (default).  With
-        ``False`` the instruction interpreter runs instead — same
-        results, useful for cross-checks.
     """
 
-    def __init__(self, circuit, codegen=True):
+    def __init__(self, circuit):
         order = circuit.topological_order()
         index = {}
         for i, name in enumerate(order):
@@ -146,7 +92,9 @@ class CompiledCircuit:
         self.output_names = tuple(circuit.outputs)
         self.input_indices = tuple(index[s] for s in self.input_names)
         self.output_indices = tuple(index[s] for s in self.output_names)
-        self._input_pos = dict(zip(self.input_names, self.input_indices))
+        #: Input name -> position in :attr:`input_names` (the slot of its
+        #: word in :meth:`output_words_from_list`'s input list).
+        self.input_slot = {name: i for i, name in enumerate(self.input_names)}
 
         instructions = []
         for pos, name in enumerate(order):
@@ -178,27 +126,17 @@ class CompiledCircuit:
         self.num_gates = len(instructions)
         self._template = [0] * self.num_signals
         self._stimulus_cache = {}
-        self._name = circuit.name
-        self._kernels = None
-        self._codegen = codegen
-        self._runs = 0
 
     # ------------------------------------------------------------------
-    # execution cores
+    # execution
     # ------------------------------------------------------------------
-    def _build_kernels(self, name):
-        kernels = []
-        insts = self.instructions
-        for start in range(0, len(insts), _CODEGEN_CHUNK):
-            chunk = insts[start : start + _CODEGEN_CHUNK]
-            body = "\n ".join(_instruction_source(i) for i in chunk) or "pass"
-            src = f"def _kernel(v, m):\n {body}\n"
-            namespace = {}
-            exec(compile(src, f"<engine:{name}:{start}>", "exec"), namespace)
-            kernels.append(namespace["_kernel"])
-        return tuple(kernels)
+    def run(self, v, m):
+        """Run all instructions over a preallocated value list in place.
 
-    def _interpret(self, v, m):
+        ``v`` must have length :attr:`num_signals` with the input slots
+        (see :attr:`input_indices`) already filled; ``m`` is the
+        all-ones word of the simulation width.  Returns ``v``.
+        """
         for op, out, a, b in self.instructions:
             if op == OP_AND2:
                 v[out] = v[a] & v[b]
@@ -238,44 +176,13 @@ class CompiledCircuit:
                     if op == OP_XNORN:
                         acc ^= m
                 v[out] = acc
-
-    #: Interpreted runs before kernels are exec-compiled.  Keeps one-shot
-    #: evaluations of throwaway circuits (a pinned or extracted view
-    #: evaluated a couple of times, then discarded) off the compile cost.
-    _COMPILE_AFTER_RUNS = 2
-
-    def run(self, values, mask):
-        """Run all instructions over a preallocated value list in place.
-
-        ``values`` must have length :attr:`num_signals` with the input
-        slots (see :attr:`input_indices`) already filled.
-        """
-        kernels = self._kernels
-        if kernels is None:
-            if not self._codegen or self._runs < self._COMPILE_AFTER_RUNS:
-                self._runs += 1
-                self._interpret(values, mask)
-                return values
-            kernels = self._kernels = self._build_kernels(self._name)
-        for kernel in kernels:
-            kernel(values, mask)
-        return values
+        return v
 
     def ensure_native(self, force=False):
         """No-op: there is no native simulation backend.  Always returns
         ``False``; ``force`` is ignored.  Kept so callers written against
         the old C kernel (``perfbench``'s ``load_native``) still run."""
         return False
-
-    @property
-    def backend(self):
-        """Executing backend right now: ``codegen``/``codegen-pending``/
-        ``interpreted``."""
-        if self._kernels is not None:
-            return "codegen"
-        if self._codegen:
-            return "codegen-pending"
-        return "interpreted"
 
     # ------------------------------------------------------------------
     # evaluation interfaces
@@ -320,7 +227,7 @@ class CompiledCircuit:
         if width == 0:
             raise ValueError("pack_input_words needs at least one pattern")
         mask = (1 << width) - 1
-        slot = {name: i for i, name in enumerate(self.input_names)}
+        slot = self.input_slot
         # One pass over the entries the patterns hold, not one lookup
         # per (input, pattern) pair: mark the bits that differ from
         # ``default``.  Sparse patterns pack in O(entries) instead of
@@ -406,8 +313,8 @@ class CompiledCircuit:
         mask = (1 << width) - 1
         fixed = fixed or {}
 
-        input_pos = self._input_pos
-        unknown = [s for s in names if s not in input_pos]
+        input_pos = self.signal_index
+        unknown = [s for s in names if s not in self.input_slot]
         if unknown:
             raise EvaluationError(f"unknown sweep inputs: {unknown[:5]}")
 
@@ -418,7 +325,7 @@ class CompiledCircuit:
         # copy plus a write per high sweep bit.
         name_set = set(names)
         chunk_template = self._template[:]
-        for name, pos in input_pos.items():
+        for name, pos in zip(self.input_names, self.input_indices):
             if name not in name_set and fixed.get(name):
                 chunk_template[pos] = mask
         for bit, name in enumerate(names[:chunk_bits]):
@@ -461,5 +368,5 @@ class CompiledCircuit:
     def __repr__(self):
         return (
             f"CompiledCircuit(signals={self.num_signals}, "
-            f"gates={self.num_gates}, {self.backend})"
+            f"gates={self.num_gates})"
         )

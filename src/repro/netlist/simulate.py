@@ -21,7 +21,6 @@ __all__ = [
     "simulate_patterns",
     "random_patterns",
     "simulate_exhaustive",
-    "simulate_random",
     "outputs_differ",
 ]
 
@@ -150,12 +149,6 @@ def simulate_exhaustive(circuit, chunk_bits=None):
         for j in range(width):
             table[offset + j] = tuple((w >> j) & 1 for w in out_words)
     return table
-
-
-def simulate_random(circuit, count, rng=None):
-    """Simulate ``count`` random patterns; returns (input words, output words)."""
-    words, mask = random_patterns(list(circuit.inputs), count, rng)
-    return words, circuit.evaluate(words, mask, outputs_only=True), mask
 
 
 def outputs_differ(circ_a, circ_b, count=256, rng=None):

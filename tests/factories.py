@@ -1,4 +1,4 @@
-"""Circuit factories shared across the test suite.
+"""Circuit factories and markers shared across the test suite.
 
 Lives in its own module (not ``conftest.py``) so test files can import it
 by a non-colliding name: ``benchmarks/`` has its own conftest, and two
@@ -7,10 +7,35 @@ by a non-colliding name: ``benchmarks/`` has its own conftest, and two
 
 import random
 
+import pytest
+
+from repro import nativelib
 from repro.netlist import Circuit
+from repro.sat import native as sat_native
 from repro.sat.cnf import CNF
 
 GATE_CHOICES = ["AND", "OR", "NAND", "NOR", "XOR", "XNOR"]
+
+
+def _native_core_missing():
+    """Why the native solver core cannot run here, or ``None``.
+
+    ``native_available()`` only checks the switch and the compiler; one
+    lookup then records the actual failure (switched off, no compiler)
+    in ``last_error()``, so a skip names it.
+    """
+    if nativelib.native_available():
+        return None
+    sat_native.build_core()
+    return nativelib.last_error()
+
+
+_NATIVE_MISSING = _native_core_missing()
+
+#: Skips a test (or a ``pytest.param``) when the native core cannot load.
+needs_native_core = pytest.mark.skipif(
+    _NATIVE_MISSING is not None, reason=_NATIVE_MISSING or ""
+)
 
 
 def build_random_circuit(n_inputs=6, n_gates=20, n_outputs=3, seed=0,

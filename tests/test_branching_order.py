@@ -31,7 +31,7 @@ import random
 
 import pytest
 
-from factories import build_random_circuit, random_3cnf
+from factories import build_random_circuit, needs_native_core, random_3cnf
 from repro.attacks import Oracle
 from repro.attacks.dip import DipEngine
 from repro.locking import lock_sarlock
@@ -40,13 +40,7 @@ from repro.sat.solver import Solver
 
 BACKENDS = [
     "python",
-    pytest.param(
-        "native",
-        marks=pytest.mark.skipif(
-            not nativelib.native_available(),
-            reason=nativelib.last_error() or "native solver core unavailable",
-        ),
-    ),
+    pytest.param("native", marks=needs_native_core),
 ]
 
 

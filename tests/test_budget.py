@@ -9,7 +9,7 @@ deadline they ran under.
 
 import pytest
 
-from factories import build_random_circuit, random_3cnf
+from factories import build_random_circuit, needs_native_core, random_3cnf
 from repro.attacks import Oracle, ddip_attack, sat_attack, scope_attack
 from repro.attacks.kratt import extract_unit, kratt_ol_attack, qbf_key_search
 from repro.budget import Deadline
@@ -125,10 +125,7 @@ class TestSolverBudget:
         assert solver.solve([1], time_limit=Deadline.from_limit(30.0)) is True
         assert solver.solve([1], time_limit=30.0) is True
 
-    @pytest.mark.skipif(
-        not nativelib.native_available(),
-        reason=nativelib.last_error() or "native solver core unavailable",
-    )
+    @needs_native_core
     def test_expiry_mid_search_keeps_native_on_python_trajectory(self):
         """A deadline that expires mid-search, conflicts deep: the C
         search gives up at the same conflict the Python loop does, and

@@ -16,13 +16,9 @@ import random
 
 import pytest
 
+from factories import needs_native_core
 from repro import nativelib
 from repro.sat.solver import Solver
-
-needs_native_core = pytest.mark.skipif(
-    not nativelib.native_available(),
-    reason=nativelib.last_error() or "native solver core unavailable",
-)
 
 
 def _flat(clauses):

@@ -1,8 +1,8 @@
 """Randomized differential tests: compiled engine vs the reference interpreter.
 
-Every execution path of :class:`repro.netlist.engine.CompiledCircuit`
-(exec-compiled kernels, the instruction interpreter and chunked
-exhaustive sweeps) must be bit-identical to :meth:`Circuit.evaluate_interpreted`, the dict-keyed
+Every entry point of :class:`repro.netlist.engine.CompiledCircuit` (the
+instruction interpreter and chunked exhaustive sweeps) must be
+bit-identical to :meth:`Circuit.evaluate_interpreted`, the dict-keyed
 reference semantics, on every signal — across gate types, fan-in shapes,
 word widths, and structural mutation of the circuit.
 """
@@ -12,7 +12,7 @@ import random
 import pytest
 
 from factories import build_exotic_circuit, build_random_circuit
-from repro.netlist.engine import CompiledCircuit, DEFAULT_CHUNK_BITS
+from repro.netlist.engine import DEFAULT_CHUNK_BITS
 from repro.netlist.simulate import exhaustive_patterns
 
 # Spread of simulation word widths: scalar, narrow, machine-word-ish, and
@@ -33,33 +33,11 @@ def _random_assignment(circuit, width, seed):
     return {name: rng.getrandbits(width) & mask for name in circuit.inputs}, mask
 
 
-def _force_kernel(circuit):
-    """Evaluate past the compile threshold so codegen kernels really run."""
-    engine = circuit.compiled()
-    probe = {name: 0 for name in circuit.inputs}
-    for _ in range(CompiledCircuit._COMPILE_AFTER_RUNS + 1):
-        engine.evaluate(probe, 1)
-    assert engine._kernels is not None
-    return engine
-
-
-@pytest.mark.parametrize("kind", sorted(FACTORIES))
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("width", WIDTHS)
-def test_codegen_kernel_matches_interpreted(kind, seed, width):
-    circuit = FACTORIES[kind](seed)
-    engine = _force_kernel(circuit)
-    assignment, mask = _random_assignment(circuit, width, seed)
-    assert engine.evaluate(assignment, mask) == circuit.evaluate_interpreted(
-        assignment, mask
-    )
-
-
 @pytest.mark.parametrize("kind", sorted(FACTORIES))
 @pytest.mark.parametrize("seed", range(6))
 def test_instruction_interpreter_matches_interpreted(kind, seed):
     circuit = FACTORIES[kind](seed)
-    engine = CompiledCircuit(circuit, codegen=False)
+    engine = circuit.compiled()
     for width in WIDTHS:
         assignment, mask = _random_assignment(circuit, width, seed)
         assert engine.evaluate(assignment, mask) == circuit.evaluate_interpreted(
@@ -74,7 +52,7 @@ def test_wide_fanin_and_constants_all_widths(seed):
     hist = {g.gtype.value for g in circuit.gates()}
     assert any(len(circuit.gate(n).fanins) > 2 for n in circuit.signals
                if not circuit.gate(n).is_input), hist
-    engine = _force_kernel(circuit)
+    engine = circuit.compiled()
     for width in (1, 3, 255):
         assignment, mask = _random_assignment(circuit, width, seed)
         assert engine.evaluate(assignment, mask) == circuit.evaluate_interpreted(
@@ -116,15 +94,16 @@ def test_subset_sweep_with_fixed_inputs(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_post_mutation_cache_invalidation(seed):
-    """Mutating the netlist must recompile; stale kernels are a wrong-answer bug."""
+    """Mutating the netlist must recompile; stale instructions are a
+    wrong-answer bug."""
     circuit = build_random_circuit(n_inputs=6, n_gates=25, n_outputs=3, seed=seed)
-    stale = _force_kernel(circuit)
+    stale = circuit.compiled()
 
     a, b = list(circuit.inputs)[:2]
     circuit.add_gate("mut_xor", "XOR", (a, b))
     circuit.set_outputs(list(circuit.outputs) + ["mut_xor"])
 
-    engine = _force_kernel(circuit)
+    engine = circuit.compiled()
     assert engine is not stale, "compiled() must rebuild after mutation"
     for width in (1, 64):
         assignment, mask = _random_assignment(circuit, width, seed)
@@ -152,9 +131,9 @@ def test_repeated_mutation_keeps_paths_in_lockstep():
 
 
 # ----------------------------------------------------------------------
-# Oracle pattern-pack hoist (ISSUE-7): the input-position scaffolding is
-# derived once per oracle, not once per attack iteration — and the
-# cached pack must be bit-identical to per-call re-derivation.
+# Oracle queries pack their input words through the engine's input-slot
+# map: bit-identical to a fresh oracle and to the reference semantics,
+# and re-derived (with the engine) after a mutation.
 # ----------------------------------------------------------------------
 
 
@@ -180,15 +159,12 @@ def test_oracle_cached_pack_bit_identical_to_fresh_derivation(seed, partial):
 
     cached = Oracle(circuit)
     got = [cached.query(p) for p in patterns]
-    # The hoist really happened: one pack derivation served every query.
-    assert cached.pack_builds == 1
 
     fresh = [Oracle(circuit).query(p) for p in patterns]
     assert got == fresh
 
-    # Batch path shares the same pack and the same bits.
+    # Batch path shares the same input slots and the same bits.
     assert cached.query_batch(patterns) == got
-    assert cached.pack_builds == 1
 
     # Reference semantics: each query equals the interpreted evaluation
     # of the fully-defaulted assignment.
@@ -200,8 +176,9 @@ def test_oracle_cached_pack_bit_identical_to_fresh_derivation(seed, partial):
 
 
 def test_oracle_pack_rederives_after_circuit_mutation():
-    """Defensive: a mutated oracle circuit invalidates the pack (keyed to
-    the compiled engine) instead of serving stale input positions."""
+    """Defensive: a mutated oracle circuit gets a fresh engine, whose
+    input-slot map covers the new input instead of serving stale
+    positions."""
     from repro.attacks.oracle import Oracle
 
     circuit = build_random_circuit(n_inputs=5, n_gates=15, n_outputs=2, seed=0)
@@ -212,5 +189,4 @@ def test_oracle_pack_rederives_after_circuit_mutation():
     circuit.add_gate("late_or", "OR", (list(circuit.inputs)[0], "late_in"))
     circuit.set_outputs(list(circuit.outputs) + ["late_or"])
     y = oracle.query({**pattern, "late_in": True})
-    assert oracle.pack_builds == 2
     assert y["late_or"] == 1

@@ -2,9 +2,9 @@
 
 Three contracts guarded here:
 
-* the engine (both the generated-kernel and instruction-interpreter
-  paths) is bit-identical to the reference dict interpreter
-  (``Circuit.evaluate_interpreted``) on every gate type and word width;
+* the engine's instruction interpreter is bit-identical to the
+  reference dict interpreter (``Circuit.evaluate_interpreted``) on every
+  gate type and word width;
 * the compiled cache on :class:`Circuit` invalidates on every structural
   mutation;
 * the CDCL solver is deterministic for a fixed clause insertion order
@@ -31,13 +31,11 @@ def assert_engine_matches_interpreter(circuit, widths=(1, 8, 64, 300)):
 
     rng = random.Random(("engine-eq", circuit.name).__str__())
     engine = circuit.compiled()
-    fallback = CompiledCircuit(circuit, codegen=False)
     for width in widths:
         mask = (1 << width) - 1
         assignment = {s: rng.getrandbits(width) for s in circuit.inputs}
         ref = circuit.evaluate_interpreted(assignment, mask)
         assert engine.evaluate(assignment, mask) == ref
-        assert fallback.evaluate(assignment, mask) == ref
         ref_out = {o: ref[o] for o in circuit.outputs}
         assert engine.evaluate(assignment, mask, outputs_only=True) == ref_out
         assert engine.output_words(assignment, mask) == tuple(
@@ -137,6 +135,12 @@ class TestCompiledCache:
         circuit = build_random_circuit(seed=20)
         first = circuit.compiled()
         assert circuit.compiled() is first
+        assert first.input_slot == {
+            name: i for i, name in enumerate(circuit.inputs)
+        }
+        # perfbench's load_native reads this stub: there is no native
+        # simulation backend to engage.
+        assert first.ensure_native(force=True) is False
 
     def test_replace_gate_invalidates(self):
         circuit = build_random_circuit(n_inputs=4, n_gates=10, seed=21)
@@ -248,17 +252,6 @@ class TestCompiledCache:
             words, mask
         )
         assert dup.evaluate(words, mask) == dup.evaluate_interpreted(words, mask)
-
-    def test_ephemeral_circuit_never_compiles(self):
-        circuit = build_random_circuit(
-            n_inputs=8, n_gates=150, n_outputs=4, seed=5
-        ).mark_ephemeral()
-        engine = circuit.compiled()
-        assignment = {n: 0 for n in circuit.inputs}
-        for _ in range(CompiledCircuit._COMPILE_AFTER_RUNS + 5):
-            engine.evaluate(assignment, 1)
-        assert engine.backend == "interpreted"
-        assert engine.ensure_native(force=True) is False
 
 
 class TestPatternHelpers:

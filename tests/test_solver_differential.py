@@ -215,12 +215,8 @@ def test_warm_reuse_agrees_with_legacy_solver_on_attack_cnfs(seed):
 
 import multiprocessing  # noqa: E402
 
+from factories import needs_native_core  # noqa: E402
 from repro import nativelib  # noqa: E402
-
-needs_native_core = pytest.mark.skipif(
-    not nativelib.native_available(),
-    reason=nativelib.last_error() or "native solver core unavailable",
-)
 
 
 def _trace(native, clauses, probes=((), )):
